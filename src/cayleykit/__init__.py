@@ -8,7 +8,7 @@ cli (command-line surface).
 
 from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
                    centralizer, closure_of_subset, is_normal_in,
-                   minimal_normal_subgroups, normal_closure, normalizer,
+                   minimal_normal_subgroups, normal_closure, normalizer, orbit,
                    pointwise_stabilizer, socle, support, sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      all_block_systems, all_minimal_block_systems,

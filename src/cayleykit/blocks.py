@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .perm import (BRUTE_FORCE_CAP, PermGroup, Permutation, is_normal_in,
-                   pointwise_stabilizer)
+from .perm import (BRUTE_FORCE_CAP, PermGroup, Permutation,
+                   element_mapping_points, is_normal_in, pointwise_stabilizer)
 
 
 class BlockSystem:
@@ -183,29 +183,19 @@ def orbit_block_system(G, N):
     return BlockSystem(G.degree, orbs)
 
 
-def fix_blocks(G, bs, cap=BRUTE_FORCE_CAP, strategy="auto"):
+def fix_blocks(G, bs):
     """The kernel of G's action on the blocks of bs.
 
-    strategy: "kernel" uses a stabilizer chain on the combined
-    points+blocks action, "filter" enumerates G, "auto" picks by order.
+    Computed as a pointwise stabilizer in the combined points+blocks
+    action, so no element of G is enumerated.
     """
     if not bs.is_invariant_under(G):
         raise ValueError("partition is not invariant under G")
-    if strategy == "auto":
-        strategy = "filter" if G.order <= 10**4 else "kernel"
-    if strategy == "filter":
-        cellset = list(bs.blocks)
-        kept = [g for g in G.elements(cap)
-                if all(tuple(sorted(g(x) for x in cell)) == cell
-                       for cell in cellset)]
-        return PermGroup(G.degree, kept)
-    if strategy == "kernel":
-        combined = _combined_action(G, bs)
-        n = G.degree
-        block_pts = list(range(n, n + len(bs.blocks)))
-        stab = pointwise_stabilizer(combined, block_pts)
-        return PermGroup(n, [Permutation(g.images[:n]) for g in stab.generators])
-    raise ValueError(f"unknown strategy {strategy!r}")
+    combined = _combined_action(G, bs)
+    n = G.degree
+    block_pts = list(range(n, n + len(bs.blocks)))
+    stab = pointwise_stabilizer(combined, block_pts)
+    return PermGroup(n, [Permutation(g.images[:n]) for g in stab.generators])
 
 
 def _block_image(p, bs, idx=None):
@@ -249,7 +239,6 @@ class BlockAction:
         n = self.source.degree
         sources = list(range(n, n + len(self.system.blocks)))
         targets = [n + q(i) for i in range(len(self.system.blocks))]
-        from .perm import element_mapping_points
         g = element_mapping_points(combined, sources, targets)
         if g is None:
             return None
@@ -284,7 +273,7 @@ def _is_block(G, B, cap):
     return True
 
 
-def classify_block_system(G, partition, cap=BRUTE_FORCE_CAP):
+def classify_block_system(G, partition):
     """Is the partition a block system of G, and is it normal?"""
     try:
         bs = partition if isinstance(partition, BlockSystem) \
@@ -293,7 +282,7 @@ def classify_block_system(G, partition, cap=BRUTE_FORCE_CAP):
         raise ValueError(f"malformed partition: {exc}") from exc
     if not bs.is_invariant_under(G):
         return {"is_block_system": False, "is_normal": False}
-    fix = fix_blocks(G, bs, cap)
+    fix = fix_blocks(G, bs)
     normal = all(set(fix.orbit(cell[0])) == set(cell) for cell in bs.blocks)
     return {"is_block_system": True, "is_normal": normal}
 
@@ -307,7 +296,7 @@ def quotient_system(C, B):
     return BlockSystem(len(B.blocks), cells)
 
 
-def verify_tower(G, towers, require_normal=True, cap=BRUTE_FORCE_CAP):
+def verify_tower(G, towers):
     """Check a properly nested chain of (normal) block systems of G.
 
     Returns m_step/normal flags, the consecutive block-size ratios, and the
@@ -319,7 +308,7 @@ def verify_tower(G, towers, require_normal=True, cap=BRUTE_FORCE_CAP):
         if bs.degree != G.degree:
             return {"m_step": False, "normal": False,
                     "index_sequence": ratios, "broken_at": i}
-        cls = classify_block_system(G, bs, cap)
+        cls = classify_block_system(G, bs)
         if not cls["is_block_system"]:
             return {"m_step": False, "normal": False,
                     "index_sequence": ratios, "broken_at": i}
@@ -330,8 +319,5 @@ def verify_tower(G, towers, require_normal=True, cap=BRUTE_FORCE_CAP):
                 return {"m_step": False, "normal": normal,
                         "index_sequence": ratios, "broken_at": i}
             ratios.append(bs.block_size // prev.block_size)
-    if require_normal and not normal:
-        return {"m_step": True, "normal": False,
-                "index_sequence": ratios, "broken_at": None}
     return {"m_step": True, "normal": normal,
             "index_sequence": ratios, "broken_at": None}

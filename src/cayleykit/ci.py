@@ -18,11 +18,10 @@ from .blocks import (BlockSystem, action_on_blocks, block_restriction,
                      classify_block_system, pullback_system, verify_tower)
 from .closures import is_k_closed
 from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
-                   _is_prime, minimal_normal_subgroups, normalizer,
+                   _is_power_of, _is_prime, minimal_normal_subgroups, orbit,
                    prime_factors, socle, support, sylow_subgroup)
-from .zoo import (GroupSpec, group_in_family_R, inner_holomorph,
-                  isomorphic_groups, isomorphic_to_spec,
-                  regular_representation)
+from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
+                  isomorphic_to_spec, regular_representation)
 
 
 @dataclass
@@ -66,8 +65,10 @@ def _element_keys(H, cap):
     return frozenset(g.images for g in H.elements(cap))
 
 
-def _conjugate_elem(g, c, cinv):
-    return cinv * g * c
+def _conjugate_key(key, pair):
+    """The element keys of c^-1 H c, for H given by its element keys."""
+    c, cinv = pair
+    return frozenset((cinv * Permutation(h) * c).images for h in key)
 
 
 def are_conjugate_subgroups(A, R, T, cap=BRUTE_FORCE_CAP, transcript=None):
@@ -101,16 +102,6 @@ def are_conjugate_subgroups(A, R, T, cap=BRUTE_FORCE_CAP, transcript=None):
         if transcript is not None:
             transcript.append({"tried": list(c.images), "result": "no"})
     return None
-
-
-def _subgroup_conjugates(A_elems, Hkeys, degree):
-    """All A-conjugates of a subgroup, as frozensets of element keys."""
-    Helems = [Permutation(im) for im in Hkeys]
-    out = set()
-    for c in A_elems:
-        cinv = c.inverse()
-        out.add(frozenset((cinv * h * c).images for h in Helems))
-    return out
 
 
 def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
@@ -173,6 +164,7 @@ def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
 
     dfs({0: identity})
 
+    gens = [(g, g.inverse()) for g in A.generators]
     reps = []
     seen_conjugates = set()
     for H in found:
@@ -182,7 +174,7 @@ def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
         if not isomorphic_to_spec(H, spec, cap):
             continue
         reps.append(H)
-        seen_conjugates |= _subgroup_conjugates(elems, key, n)
+        seen_conjugates.update(orbit(key, gens, _conjugate_key))
     return reps
 
 
@@ -335,37 +327,6 @@ def _is_normal_by_keys(G, keys):
     return True
 
 
-def _sylow_containing(G, seed, p, cap):
-    """A Sylow p-subgroup of G containing the p-subgroup seed."""
-    target = 1
-    n = G.order
-    while n % p == 0:
-        target *= p
-        n //= p
-    P = seed
-    while P.order < target:
-        N = normalizer(G, P, cap)
-        grown = None
-        for g in N.elements(cap):
-            o = g.order()
-            if o == 1 or not _is_p_power(o, p) or P.contains(g):
-                continue
-            cand = PermGroup(G.degree, list(P.generators) + [g])
-            if _is_p_power(cand.order, p):
-                grown = cand
-                break
-        if grown is None:
-            raise RuntimeError("sylow extension failed")
-        P = grown
-    return P
-
-
-def _is_p_power(n, p):
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _two_group_chain(J):
     """A full chain of normal block systems of a transitive 2-group.
 
@@ -397,10 +358,10 @@ def _two_group_tail(R, T, cap, transcript):
     if n == 1:
         return Permutation.identity(1), []
     ambient = PermGroup(n, list(R.generators) + list(T.generators))
-    if _is_p_power(ambient.order, 2):
+    if _is_power_of(ambient.order, 2):
         d = Permutation.identity(n)
     else:
-        P = _sylow_containing(ambient, R, 2, cap)
+        P = sylow_subgroup(ambient, 2, cap, containing=R)
         Pkeys = _element_keys(P, cap)
         d = None
         for c in ambient.elements(cap):
@@ -484,7 +445,7 @@ def _exceptional_descent(R, T, cap, transcript):
                 dinv = d.inverse()
                 joint = PermGroup(R.degree, list(R.generators)
                                   + [dinv * t * d for t in T.generators])
-                verdict = classify_block_system(joint, PR, cap)
+                verdict = classify_block_system(joint, PR)
                 if not (verdict["is_block_system"] and verdict["is_normal"]):
                     continue
                 transcript.append({"event": "exceptional_aligned",
@@ -521,7 +482,7 @@ def block_tower_search(R, T, cap=BRUTE_FORCE_CAP):
     full = [BlockSystem.singletons(n)] + tower + [BlockSystem.one_block(n)]
     joint = PermGroup(n, list(R.generators)
                       + [g for g in T.conjugate(c).generators])
-    check = verify_tower(joint, full, require_normal=True, cap=cap)
+    check = verify_tower(joint, full)
     if not (check["m_step"] and check["normal"]):
         return {"status": "failure", "transcript": transcript,
                 "verify": check}
@@ -574,21 +535,7 @@ def semiregular_classes(T, p, cap=BRUTE_FORCE_CAP):
         subs.add(key)
     gens = [(g, g.inverse()) for g in T.generators]
     classes = 0
-    remaining = set(subs)
-    while remaining:
-        start = next(iter(remaining))
+    while subs:
         classes += 1
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for key in frontier:
-                elems = [Permutation(im) for im in key]
-                for g, ginv in gens:
-                    image = frozenset((ginv * h * g).images for h in elems)
-                    if image not in orbit:
-                        orbit.add(image)
-                        new.append(image)
-            frontier = new
-        remaining -= orbit
+        subs.difference_update(orbit(next(iter(subs)), gens, _conjugate_key))
     return classes

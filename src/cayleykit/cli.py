@@ -12,11 +12,9 @@ import re
 import sys
 import time
 
-from .blocks import BlockSystem
-from .ci import (are_conjugate_subgroups, babai_check, block_tower_search,
-                 TowerResult, holomorph_witness)
+from .ci import TowerResult, babai_check, block_tower_search
 from .closures import BudgetExceededError, k_closure
-from .perm import BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation
+from .perm import BRUTE_FORCE_CAP, CapExceededError, PermGroup
 from .repro import CLAIMS, run_claim
 from .zoo import GroupSpec, inner_holomorph, regular_representation
 
@@ -26,6 +24,11 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _NAME_RE = re.compile(r"^\s*([a-z0-9_]+)\s*(?:\(\s*([0-9,\s]*)\s*\))?\s*$")
+
+# Spec kinds accepted in name syntax, with their argument counts.
+_SPEC_ARITY = {"cyclic": 1, "elementary_abelian_2": 1, "dihedral": 1,
+               "dicyclic": 1, "frobenius": 2, "zn_semidirect_y": 3,
+               "z4": 0, "z8": 0, "q8": 0}
 
 
 def parse_spec(text):
@@ -38,29 +41,25 @@ def parse_spec(text):
         raise ValueError(f"cannot parse spec {text!r}")
     kind, args = m.group(1), m.group(2)
     args = [int(a) for a in args.split(",") if a.strip()] if args else []
-    simple = {"cyclic": GroupSpec.cyclic,
-              "elementary_abelian_2": GroupSpec.elementary_abelian_2,
-              "dihedral": GroupSpec.dihedral,
-              "dicyclic": GroupSpec.dicyclic,
-              "frobenius": GroupSpec.frobenius,
-              "zn_semidirect_y": GroupSpec.zn_semidirect_y}
-    if kind in simple:
-        return simple[kind](*args)
-    if kind in ("z4", "z8", "q8") and not args:
-        return getattr(GroupSpec, kind)()
-    raise ValueError(f"unknown spec kind {kind!r}")
+    if kind not in _SPEC_ARITY:
+        raise ValueError(f"unknown spec kind {kind!r}")
+    if len(args) != _SPEC_ARITY[kind]:
+        raise ValueError(f"{kind} takes {_SPEC_ARITY[kind]} argument(s), "
+                         f"got {len(args)}")
+    return getattr(GroupSpec, kind)(*args)
 
 
 def _load_group(path):
     with open(path) as fh:
         data = json.load(fh)
-    return PermGroup(data["degree"],
-                     [Permutation(images) for images in data["generators"]])
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object with degree and "
+                         "generators")
+    return PermGroup.from_json(data)
 
 
 def _group_json(G):
-    return {"degree": G.degree, "order": G.order,
-            "generators": [list(g.images) for g in G.generators]}
+    return {**G.to_json(), "order": G.order}
 
 
 def _emit(payload, out_path):

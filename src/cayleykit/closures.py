@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, orbit
 
 # Degree budgets keep the tuple tables at desk scale.
 DEGREE_BUDGET = {1: 4096, 2: 256, 3: 64}
@@ -111,17 +111,8 @@ def orbit_coloring(G, k, budget=None):
     for start in range(total):
         if colors[start] != -1:
             continue
-        colors[start] = color
-        frontier = [start]
-        while frontier:
-            new = []
-            for t in frontier:
-                for tab in tables:
-                    u = tab[t]
-                    if colors[u] == -1:
-                        colors[u] = color
-                        new.append(u)
-            frontier = new
+        for t in orbit(start, tables, lambda t, tab: tab[t]):
+            colors[t] = color
         color += 1
     return ColoredStructure(n, k, colors, canonicalize=False)
 
@@ -220,18 +211,12 @@ def automorphisms(S, budget=None):
         return None
 
     gens = []
+
+    def point_orbit(x):
+        return set(orbit(x, gens, lambda y, g: g(y)))
+
     for i in range(n - 1, -1, -1):
-        orb = {i}
-        frontier = [i]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = g(x)
-                    if y not in orb:
-                        orb.add(y)
-                        new.append(y)
-            frontier = new
+        orb = point_orbit(i)
         for y in members[classes[i]]:
             if y in orb or y <= i:
                 continue
@@ -242,17 +227,7 @@ def automorphisms(S, budget=None):
             g = complete(partial, set(partial.values()))
             if g is not None:
                 gens.append(g)
-                # refresh orbit of i under the enlarged generator set
-                frontier = [x for x in orb]
-                while frontier:
-                    new = []
-                    for x in frontier:
-                        for h in gens:
-                            z = h(x)
-                            if z not in orb:
-                                orb.add(z)
-                                new.append(z)
-                    frontier = new
+                orb = point_orbit(i)
     return PermGroup(n, gens)
 
 

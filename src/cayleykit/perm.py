@@ -6,7 +6,6 @@ and conjugation is ``h^c = c^-1 h c``.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 
 # Operations that need to touch every group element refuse to run past this
@@ -137,9 +136,18 @@ class Permutation:
         return cls(data)
 
 
-def compose(p, q):
-    """Functional composition, (p o q)(x) = p(q(x))."""
-    return p * q
+def orbit(start, gens, act):
+    """Every state reachable from start by act(state, g) for g in gens,
+    in breadth-first discovery order."""
+    seen = {start}
+    out = [start]
+    for x in out:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
 
 
 class _Chain:
@@ -331,18 +339,7 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def orbit(self, x):
-        orb = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g in self.generators:
-                    z = g(y)
-                    if z not in orb:
-                        orb.add(z)
-                        new.append(z)
-            frontier = new
-        return sorted(orb)
+        return sorted(orbit(x, self.generators, lambda y, g: g(y)))
 
     def orbits(self):
         seen = set()
@@ -387,40 +384,12 @@ class PermGroup:
                    [Permutation(imgs) for imgs in data["generators"]])
 
 
-def group_from_generators(n, gens):
-    return PermGroup(n, gens)
-
-
-def order(G):
-    return G.order
-
-
-def contains(G, p):
-    return G.contains(p)
-
-
-def orbits(G):
-    return G.orbits()
-
-
-def transitivity_profile(G):
-    return G.transitivity_profile()
-
-
-def enumerate_elements(G, cap=BRUTE_FORCE_CAP):
-    return G.elements(cap)
-
-
 def support(H):
     """All points moved by some generator of H."""
     pts = set()
     for g in H.generators:
         pts.update(x for x in range(H.degree) if g(x) != x)
     return sorted(pts)
-
-
-def conjugate(H, c):
-    return H.conjugate(c)
 
 
 def is_normal_in(N, G):
@@ -470,24 +439,15 @@ def normalizer(G, H, cap=BRUTE_FORCE_CAP):
 
 
 def _conjugacy_class_reps(G, elems):
-    """One representative per G-conjugacy class among elems (orbit BFS)."""
-    pool = {e.images for e in elems}
+    """One representative per G-conjugacy class among elems."""
+    gens = [(g, g.inverse()) for g in G.generators]
+    pool = set(elems)
     reps = []
     while pool:
-        start = Permutation(min(pool))
+        start = min(pool)
         reps.append(start)
-        orbit = {start.images}
-        frontier = [start]
-        while frontier:
-            new = []
-            for e in frontier:
-                for g in G.generators:
-                    c = g.inverse() * e * g
-                    if c.images not in orbit:
-                        orbit.add(c.images)
-                        new.append(c)
-            frontier = new
-        pool -= orbit
+        pool.difference_update(
+            orbit(start, gens, lambda e, gi: gi[1] * e * gi[0]))
     return reps
 
 
@@ -548,8 +508,12 @@ def prime_factors(n):
     return out
 
 
-def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP):
-    """A Sylow p-subgroup, grown inside normalizers of partial p-subgroups."""
+def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP, containing=None):
+    """A Sylow p-subgroup, grown inside normalizers of partial p-subgroups.
+
+    The growth starts from the p-subgroup `containing` when given, else
+    from the cyclic group of the smallest element of order p.
+    """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if G.order % p != 0:
@@ -559,8 +523,6 @@ def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP):
     while n % p == 0:
         target *= p
         n //= p
-
-    elems = G.elements(cap)
 
     def p_element(pool, P):
         # smallest p-element extending P to a larger p-group
@@ -575,8 +537,10 @@ def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP):
                 return cand
         return None
 
-    start = min(g for g in elems if g.order() == p)
-    P = PermGroup(G.degree, [start])
+    P = containing
+    if P is None:
+        start = min(g for g in G.elements(cap) if g.order() == p)
+        P = PermGroup(G.degree, [start])
     while P.order < target:
         N = normalizer(G, P, cap)
         bigger = p_element(N.elements(cap), P)

@@ -141,7 +141,6 @@ class GroupSpec:
         raise AssertionError
 
     def is_abelian(self):
-        e = self.identity_label()
         gens = self.generator_labels()
         return all(self.mult(a, b) == self.mult(b, a)
                    for a in gens for b in gens)
@@ -369,7 +368,6 @@ def ci_order_condition(n):
     if n < 1:
         raise ValueError("n must be positive")
     phi = 1
-    m = n
     last = None
     for q in prime_factors(n):
         if q == last:
@@ -545,7 +543,6 @@ def _is_isomorphism(A, B, gens, images, elems_a):
     fmap = {Permutation.identity(A.degree).images:
             Permutation.identity(B.degree)}
     frontier = [Permutation.identity(A.degree)]
-    known = {Permutation.identity(A.degree).images}
     while frontier:
         new = []
         for a in frontier:
@@ -559,7 +556,6 @@ def _is_isomorphism(A, B, gens, images, elems_a):
                 else:
                     fmap[prod.images] = fprod
                     new.append(prod)
-                    known.add(prod.images)
         frontier = new
     if len(fmap) != A.order:
         return False  # gens did not generate (should not happen)

@@ -6,11 +6,20 @@ test delegates to the claim pipelines in cayleykit.repro so the CLI
 `reproduce` command and this gate exercise identical code paths.
 """
 
+import hashlib
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from cayleykit.repro import run_claim
+
+# Report-body hashes of the default run of every claim except tower-dic3,
+# whose default seed is not recorded; the bench records them.
+EXPECTED_SHA256 = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json")
+    .read_text())["claim_sha256"]
 
 CRITERIA = [
     ("01", "example-degree-20",
@@ -36,6 +45,11 @@ CRITERIA = [
 ]
 
 
+def _body_sha256(body):
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _verdict(num, claim_id, passed):
     word = "PASS" if passed else "FAIL"
     print(f"[criterion {num}] {claim_id}: {word}", file=sys.stderr)
@@ -47,3 +61,6 @@ def test_acceptance(num, claim_id, summary):
     body = run_claim(claim_id)
     _verdict(num, claim_id, body["pass"])
     assert body["pass"], summary
+    if claim_id in EXPECTED_SHA256:
+        assert _body_sha256(body) == EXPECTED_SHA256[claim_id], \
+            "report body differs from the recorded one"

@@ -98,12 +98,23 @@ class TestFixAndAction:
         return PermGroup(4, [Permutation([1, 2, 3, 0]),
                              Permutation([2, 1, 0, 3])])
 
-    def test_fix_blocks_strategies_agree(self):
-        G = self.d8()
-        bs = BlockSystem(4, [[0, 2], [1, 3]])
-        f1 = fix_blocks(G, bs, strategy="filter")
-        f2 = fix_blocks(G, bs, strategy="kernel")
-        assert f1.order == f2.order == 4
+    def test_fix_blocks_matches_filtered_kernel(self):
+        cases = [(self.d8(), BlockSystem(4, [[0, 2], [1, 3]]))]
+        for spec in (GroupSpec.cyclic(12), GroupSpec.dicyclic(3)):
+            G = regular_representation(spec, "left").group
+            cases.extend((G, bs) for bs in all_block_systems(G))
+        # S2 wr S3: the kernel on its three blocks has order 8
+        wreath = PermGroup(6, [Permutation([1, 0, 2, 3, 4, 5]),
+                               Permutation([2, 3, 4, 5, 0, 1]),
+                               Permutation([2, 3, 0, 1, 4, 5])])
+        cases.append((wreath, BlockSystem(6, [[0, 1], [2, 3], [4, 5]])))
+        for G, bs in cases:
+            kept = [g for g in G.elements()
+                    if all(tuple(sorted(g(x) for x in cell)) == cell
+                           for cell in bs.blocks)]
+            assert fix_blocks(G, bs) == PermGroup(G.degree, kept)
+        assert fix_blocks(*cases[0]).order == 4
+        assert fix_blocks(*cases[-1]).order == 8
 
     def test_fix_blocks_requires_invariance(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -116,6 +117,16 @@ class TestBabaiCheck:
         v = babai_check(regular(GroupSpec.cyclic(8)), GroupSpec.q8())
         assert v.status == "inconclusive" and v.classes == 0
 
+    def test_witness_certificate_is_pinned(self):
+        # the regular-subgroup class representatives, and so the witness
+        # generators, must not change under refactoring
+        spec = GroupSpec.frobenius(5, 4)
+        cert = babai_check(inner_holomorph(spec), spec).to_json()
+        digest = hashlib.sha256(
+            json.dumps(cert, sort_keys=True).encode()).hexdigest()
+        assert digest == ("d069fc356fca42aa616425c4916c96e7"
+                          "24ff07e592d90712beae14ad9b70383a")
+
     def test_json(self):
         v = CiVerdict("inconclusive", None, 0, [])
         assert v.to_json()["status"] == "inconclusive"
@@ -203,6 +214,20 @@ class TestTowerSearch:
         T = R.conjugate(W.generators[-1])
         res = block_tower_search(R, T)
         joint = PermGroup(12, list(R.generators)
+                          + list(T.conjugate(res.conjugator).generators))
+        for bs in res.tower[1:-1]:
+            v = classify_block_system(joint, bs)
+            assert v["is_block_system"] and v["is_normal"]
+
+    def test_q8_conjugate_through_common_sylow(self):
+        # <R, T> is not a 2-group, so T is first conjugated into a Sylow
+        # 2-subgroup grown from R
+        R = regular(GroupSpec.q8())
+        T = R.conjugate(Permutation([1, 0, 2, 3, 4, 5, 6, 7]))
+        res = block_tower_search(R, T)
+        assert isinstance(res, TowerResult) and res.ratios == [2, 2, 2]
+        assert res.transcript[0]["event"] == "two_group_conjugated"
+        joint = PermGroup(8, list(R.generators)
                           + list(T.conjugate(res.conjugator).generators))
         for bs in res.tower[1:-1]:
             v = classify_block_system(joint, bs)

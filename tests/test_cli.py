@@ -12,6 +12,14 @@ def run(capsys, *argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def usage_error(capsys, *argv):
+    """Exit code and the parsed one-line JSON error printed on stderr."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return code, json.loads(err)
+
+
 def write_group_file(tmp_path, name, spec):
     from cayleykit.zoo import regular_representation
     G = regular_representation(spec, "left").group
@@ -60,6 +68,11 @@ class TestConstruct:
         code, _ = run(capsys, "construct", "--spec", "nope(1)")
         assert code == 2
 
+    def test_wrong_argument_count_is_usage_error(self, capsys):
+        code, payload = usage_error(capsys, "construct", "--spec",
+                                    "cyclic(1,2)")
+        assert code == 2 and "argument" in payload["error"]
+
 
 class TestClosure:
     def test_prime_cycle_2_closed(self, capsys):
@@ -82,6 +95,13 @@ class TestClosure:
         path = write_group_file(tmp_path, "z4.json", GroupSpec.cyclic(4))
         code, payload = run(capsys, "closure", "--fixture", path, "--k", "2")
         assert code == 0 and payload["source"] == {"fixture": path}
+
+    def test_fixture_not_an_object_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[[1, 0]]")
+        code, payload = usage_error(capsys, "closure", "--fixture",
+                                    str(path))
+        assert code == 2 and "JSON object" in payload["error"]
 
 
 class TestCiCheck:

@@ -5,8 +5,8 @@ from cayleykit.perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup,
                             Permutation, closure_of_subset,
                             element_mapping_points, is_normal_in,
                             minimal_normal_subgroups, normal_closure,
-                            normalizer, pointwise_stabilizer, prime_factors,
-                            socle, sylow_subgroup)
+                            normalizer, orbit, pointwise_stabilizer,
+                            prime_factors, socle, sylow_subgroup)
 
 
 def perm(*cycles, n):
@@ -135,6 +135,12 @@ class TestSubgroupMachinery:
         assert sylow_subgroup(S4, 2).order == 8
         assert sylow_subgroup(S4, 3).order == 3
 
+    def test_sylow_containing(self):
+        S4 = PermGroup.symmetric(4)
+        V = PermGroup(4, [perm((0, 1), (2, 3), n=4)])
+        P = sylow_subgroup(S4, 2, containing=V)
+        assert P.order == 8 and V.is_subgroup_of(P)
+
     def test_socle_of_s4(self):
         assert socle(PermGroup.symmetric(4)).order == 4
 
@@ -171,3 +177,26 @@ def test_order_of_element_matches_cycle_lcm(images):
     for c in p.cycles():
         lcm = math.lcm(lcm, len(c))
     assert p.order() == (lcm if lcm > 1 else 1)
+
+
+@st.composite
+def point_actions(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(list(range(n))), max_size=3))
+    return [Permutation(g) for g in gens], draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(point_actions())
+def test_orbit_matches_fixed_point_closure(case):
+    gens, start = case
+    reached = {start}
+    while True:
+        grown = reached | {g(x) for x in reached for g in gens}
+        if grown == reached:
+            break
+        reached = grown
+    out = orbit(start, gens, lambda x, g: g(x))
+    assert out[0] == start
+    assert len(out) == len(set(out))
+    assert set(out) == reached
