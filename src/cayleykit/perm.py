@@ -18,7 +18,12 @@ class CapExceededError(RuntimeError):
 
 
 class Permutation:
-    """A bijection of {0, ..., n-1}, stored as its image sequence."""
+    """A bijection of {0, ..., n-1}, stored as its image sequence.
+
+    The constructor validates its input.  Products, inverses and identities
+    are built by ``_unchecked``: composing or inverting bijections of one
+    degree always gives a bijection, so checking the result again is waste.
+    """
 
     __slots__ = ("images",)
 
@@ -34,7 +39,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        return cls(range(n))
+        return _unchecked(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n, cycles):
@@ -42,6 +47,8 @@ class Permutation:
         images = list(range(n))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
+                if not isinstance(a, int) or not 0 <= a < n:
+                    raise ValueError(f"cycle point {a!r} not in 0..{n - 1}")
                 if images[a] != a:
                     raise ValueError("cycles are not disjoint")
                 images[a] = b
@@ -59,13 +66,13 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
         im = self.images
-        return Permutation(im[x] for x in other.images)
+        return _unchecked(tuple([im[x] for x in other.images]))
 
     def inverse(self):
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Permutation(inv)
+        return _unchecked(tuple(inv))
 
     def __pow__(self, k):
         if k < 0:
@@ -84,7 +91,7 @@ class Permutation:
         return c.inverse() * self * c
 
     def is_identity(self):
-        return all(x == y for x, y in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def order(self):
         n = 1
@@ -134,6 +141,13 @@ class Permutation:
     @classmethod
     def from_json(cls, data):
         return cls(data)
+
+
+def _unchecked(images):
+    """A Permutation from an image tuple known to be a bijection."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
 
 
 def orbit(start, gens, act):
@@ -380,8 +394,14 @@ class PermGroup:
 
     @classmethod
     def from_json(cls, data):
-        return cls(data["degree"],
-                   [Permutation(imgs) for imgs in data["generators"]])
+        degree, gens = data["degree"], data["generators"]
+        if not isinstance(degree, int) or isinstance(degree, bool) \
+                or degree < 0:
+            raise ValueError(f"degree must be a non-negative int: {degree!r}")
+        if not isinstance(gens, list) \
+                or not all(isinstance(g, list) for g in gens):
+            raise ValueError("generators must be a list of image lists")
+        return cls(degree, [Permutation(imgs) for imgs in gens])
 
 
 def support(H):

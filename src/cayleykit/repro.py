@@ -78,30 +78,38 @@ def all_subgroups(A, cap=10 ** 5):
     return subgroups
 
 
-def regular_class_scan(A, spec, cap=10 ** 5):
-    """Conjugacy classes of regular spec-copies via the full lattice."""
+def regular_class_scan(A, specs, cap=10 ** 5):
+    """Conjugacy classes of regular copies of each spec via the full lattice.
+
+    The lattice of A is grown once; the result holds one class list for each
+    spec, in the order of specs.
+    """
     n = A.degree
     elems = A.elements(cap)
-    hits = []
+    regular = []
     for key in all_subgroups(A, cap):
         if len(key) != n:
             continue
         H = PermGroup(n, [Permutation(im) for im in key])
-        if H.is_regular() and isomorphic_to_spec(H, spec):
-            hits.append(key)
-    classes = []
-    placed = set()
-    for key in sorted(hits, key=sorted):
-        if key in placed:
-            continue
-        members = [Permutation(im) for im in key]
-        orbit = set()
-        for c in elems:
-            cinv = c.inverse()
-            orbit.add(frozenset((cinv * h * c).images for h in members))
-        classes.append(key)
-        placed |= orbit
-    return classes
+        if H.is_regular():
+            regular.append((key, H))
+    out = []
+    for spec in specs:
+        hits = [key for key, H in regular if isomorphic_to_spec(H, spec)]
+        classes = []
+        placed = set()
+        for key in sorted(hits, key=sorted):
+            if key in placed:
+                continue
+            members = [Permutation(im) for im in key]
+            orbit = set()
+            for c in elems:
+                cinv = c.inverse()
+                orbit.add(frozenset((cinv * h * c).images for h in members))
+            classes.append(key)
+            placed |= orbit
+        out.append(classes)
+    return out
 
 
 def smallest_primitive_prime_divisor(a, k):
@@ -335,9 +343,8 @@ def claim_regular_subgroups_oracle():
     rows = []
     ok = True
     for name, A, specs in _regular_oracle_corpus():
-        for spec in specs:
+        for spec, want in zip(specs, regular_class_scan(A, specs)):
             got = regular_subgroups(A, spec)
-            want = regular_class_scan(A, spec)
             match = len(got) == len(want)
             rows.append({"ambient": name, "spec": spec.kind,
                          "spec_order": spec.size,

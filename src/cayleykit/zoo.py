@@ -20,6 +20,10 @@ AUT_ORDERS_OF_SYLOW_2 = {
 }
 
 
+# The parameters of GroupSpec kinds that are integers.
+_INT_PARAMS = ("n", "e", "m", "p", "order_of_y", "action")
+
+
 class GroupSpec:
     """Symbolic group with elements 0..|G|-1 and an explicit product rule."""
 
@@ -75,6 +79,10 @@ class GroupSpec:
 
     def _validate(self):
         k, p = self.kind, self.params
+        for name in _INT_PARAMS:
+            if name in p and (not isinstance(p[name], int)
+                              or isinstance(p[name], bool)):
+                raise ValueError(f"{name} must be an int, got {p[name]!r}")
         if k == "cyclic":
             if p["n"] < 1:
                 raise ValueError("cyclic order must be positive")
@@ -289,9 +297,13 @@ class GroupSpec:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError(f"a spec must be a JSON object: {data!r}")
         data = dict(data)
         kind = data.pop("kind")
         if kind == "direct_product":
+            if not isinstance(data["factors"], list):
+                raise ValueError("factors must be a list of specs")
             return cls.direct_product(
                 [cls.from_json(f) for f in data["factors"]])
         return cls(kind, **data)

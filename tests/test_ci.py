@@ -14,7 +14,8 @@ from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
 from cayleykit.closures import k_closure
 from cayleykit.perm import (PermGroup, Permutation, pointwise_stabilizer,
                             sylow_subgroup)
-from cayleykit.repro import dic3_partition_stabilizer, regular_class_scan
+from cayleykit.repro import (_regular_oracle_corpus,
+                             dic3_partition_stabilizer, regular_class_scan)
 from cayleykit.zoo import GroupSpec, cor2_groups, inner_holomorph, \
     regular_representation
 
@@ -82,9 +83,17 @@ class TestRegularSubgroups:
 
     def test_oracle_match_s4(self):
         S4 = PermGroup.symmetric(4)
-        for spec in [GroupSpec.cyclic(4), GroupSpec.elementary_abelian_2(2)]:
-            assert len(regular_subgroups(S4, spec)) \
-                == len(regular_class_scan(S4, spec))
+        specs = [GroupSpec.cyclic(4), GroupSpec.elementary_abelian_2(2)]
+        for spec, want in zip(specs, regular_class_scan(S4, specs)):
+            assert len(regular_subgroups(S4, spec)) == len(want)
+
+    def test_oracle_scan_per_spec_matches_single_scans(self):
+        ambients = {name: (A, specs)
+                    for name, A, specs in _regular_oracle_corpus()}
+        for name in ("s4", "a4"):
+            A, specs = ambients[name]
+            assert regular_class_scan(A, specs) \
+                == [regular_class_scan(A, [s])[0] for s in specs]
 
     def test_two_classes_in_degree_20_example(self):
         A = inner_holomorph(GroupSpec.frobenius(5, 4))

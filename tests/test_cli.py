@@ -73,6 +73,16 @@ class TestConstruct:
                                     "cyclic(1,2)")
         assert code == 2 and "argument" in payload["error"]
 
+    def test_wrongly_typed_json_parameter_is_usage_error(self, capsys):
+        code, payload = usage_error(capsys, "construct", "--spec",
+                                    '{"kind": "cyclic", "n": "a"}')
+        assert code == 2 and "int" in payload["error"]
+        for spec in ['{"kind": "cyclic", "n": true}',
+                     '{"kind": "direct_product", "factors": [5]}',
+                     '{"kind": "direct_product", "factors": 5}']:
+            code, _ = usage_error(capsys, "construct", "--spec", spec)
+            assert code == 2
+
 
 class TestClosure:
     def test_prime_cycle_2_closed(self, capsys):
@@ -102,6 +112,19 @@ class TestClosure:
         code, payload = usage_error(capsys, "closure", "--fixture",
                                     str(path))
         assert code == 2 and "JSON object" in payload["error"]
+
+    def test_fixture_generator_not_a_list_is_usage_error(self, capsys,
+                                                          tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text('{"degree": 3, "generators": [5]}')
+        code, payload = usage_error(capsys, "closure", "--fixture",
+                                    str(path))
+        assert code == 2 and "generators" in payload["error"]
+        for bad in ['{"degree": "3", "generators": []}',
+                    '{"degree": 3, "generators": 5}']:
+            path.write_text(bad)
+            code, _ = usage_error(capsys, "closure", "--fixture", str(path))
+            assert code == 2
 
 
 class TestCiCheck:

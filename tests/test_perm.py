@@ -45,8 +45,21 @@ class TestPermutation:
         assert Permutation.from_json(p.to_json()) == p
 
     def test_malformed(self):
+        # A repeated image, an out-of-range image, non-int entries.
+        builders = [Permutation, Permutation.from_json,
+                    lambda im: PermGroup.from_json(
+                        {"degree": len(im), "generators": [im]})]
+        for images in [[0, 0, 1], [0, 3, 1], [0, "1", 2], [0, 1.0, 2]]:
+            for build in builders:
+                with pytest.raises(ValueError):
+                    build(images)
+        for cycles in [[(0, 1), (1, 2)], [(0, 3)], [(0, "1")], [(0, 1.0)]]:
+            with pytest.raises(ValueError):
+                Permutation.from_cycles(3, cycles)
+
+    def test_product_degree_mismatch(self):
         with pytest.raises(ValueError):
-            Permutation([0, 0, 1])
+            Permutation([0, 1]) * Permutation([0, 1, 2])
 
 
 class TestPermGroup:
@@ -200,3 +213,23 @@ def test_orbit_matches_fixed_point_closure(case):
     assert out[0] == start
     assert len(out) == len(set(out))
     assert set(out) == reached
+
+
+@st.composite
+def permutation_pairs(draw):
+    n = draw(st.integers(1, 9))
+    p, q = (draw(st.permutations(list(range(n)))) for _ in range(2))
+    return Permutation(p), Permutation(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(permutation_pairs(), st.integers(-3, 5))
+def test_unchecked_products_are_permutations(pair, k):
+    p, q = pair
+    n = p.degree
+    assert all((p * q)(x) == p(q(x)) for x in range(n))
+    assert (p * p.inverse()).is_identity() and (p.inverse() * p).is_identity()
+    for result in (p * q, p.inverse(), p ** k, Permutation.identity(n)):
+        assert type(result.images) is tuple
+        assert all(type(x) is int for x in result.images)
+        assert result == Permutation(list(result.images))
