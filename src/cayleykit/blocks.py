@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .perm import (BRUTE_FORCE_CAP, PermGroup, Permutation,
-                   element_mapping_points, is_normal_in, pointwise_stabilizer)
+from .perm import (PermGroup, Permutation, element_mapping_points,
+                   is_normal_in, pointwise_stabilizer)
 
 
 class BlockSystem:
@@ -198,10 +198,8 @@ def fix_blocks(G, bs):
     return PermGroup(n, [Permutation(g.images[:n]) for g in stab.generators])
 
 
-def _block_image(p, bs, idx=None):
+def _block_image(p, bs, idx):
     """The permutation induced by p on block indices."""
-    if idx is None:
-        idx = bs.block_index_of()
     return Permutation(idx[p(cell[0])] for cell in bs.blocks)
 
 
@@ -249,24 +247,24 @@ def action_on_blocks(G, bs):
     return BlockAction(G, bs)
 
 
-def block_restriction(G, B, cap=BRUTE_FORCE_CAP):
+def block_restriction(G, B):
     """The induced group of the setwise stabilizer of B, relabeled on B."""
     B = tuple(sorted(B))
     Bset = set(B)
     relabel = {x: i for i, x in enumerate(B)}
     gens = []
-    for g in G.elements(cap):
+    for g in G.elements():
         if all(g(x) in Bset for x in B):
             gens.append(Permutation(relabel[g(x)] for x in B))
     H = PermGroup(len(B), gens)
-    if not _is_block(G, B, cap):
+    if not _is_block(G, B):
         raise ValueError("B is not a block of G")
     return H
 
 
-def _is_block(G, B, cap):
+def _is_block(G, B):
     Bset = set(B)
-    for g in G.elements(cap):
+    for g in G.elements():
         image = {g(x) for x in B}
         if image != Bset and image & Bset:
             return False

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .blocks import (BlockSystem, action_on_blocks, block_restriction,
                      classify_block_system, pullback_system, verify_tower)
-from .closures import is_k_closed
+from .closures import DEGREE_BUDGET, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
                    _is_power_of, _is_prime, minimal_normal_subgroups, orbit,
                    prime_factors, socle, support, sylow_subgroup)
@@ -61,8 +61,8 @@ class TowerResult:
                 "transcript": self.transcript}
 
 
-def _element_keys(H, cap):
-    return frozenset(g.images for g in H.elements(cap))
+def _element_keys(H):
+    return frozenset(g.images for g in H.elements())
 
 
 def _conjugate_key(key, pair):
@@ -71,7 +71,7 @@ def _conjugate_key(key, pair):
     return frozenset((cinv * Permutation(h) * c).images for h in key)
 
 
-def are_conjugate_subgroups(A, R, T, cap=BRUTE_FORCE_CAP, transcript=None):
+def are_conjugate_subgroups(A, R, T, transcript=None):
     """Some c in A with R^c = T, or None after exhausting a transversal.
 
     The search walks one representative per right coset of the normalizer
@@ -82,11 +82,11 @@ def are_conjugate_subgroups(A, R, T, cap=BRUTE_FORCE_CAP, transcript=None):
             raise ValueError(f"{name} is not a subgroup of the ambient group")
     if R.order != T.order:
         return None
-    Rkeys = _element_keys(R, cap)
-    Tkeys = _element_keys(T, cap)
+    Rkeys = _element_keys(R)
+    Tkeys = _element_keys(T)
     if Rkeys == Tkeys:
         return Permutation.identity(A.degree)
-    elems = A.elements(cap)
+    elems = A.elements()
     rgens = R.generators
     norm = [g for g in elems
             if all((g.inverse() * r * g).images in Rkeys for r in rgens)]
@@ -104,7 +104,7 @@ def are_conjugate_subgroups(A, R, T, cap=BRUTE_FORCE_CAP, transcript=None):
     return None
 
 
-def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
+def regular_subgroups(A, spec):
     """Conjugacy class representatives of regular subgroups of A
     isomorphic to the given abstract group.
 
@@ -116,7 +116,7 @@ def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
     n = A.degree
     if n != spec.size:
         raise ValueError("degree of A must equal the order of the spec")
-    elems = A.elements(cap)
+    elems = A.elements()
     hist = spec.order_histogram()
     by_image = {y: [] for y in range(n)}
     for g in elems:
@@ -168,21 +168,21 @@ def regular_subgroups(A, spec, cap=BRUTE_FORCE_CAP):
     reps = []
     seen_conjugates = set()
     for H in found:
-        key = _element_keys(H, cap)
+        key = _element_keys(H)
         if key in seen_conjugates:
             continue
-        if not isomorphic_to_spec(H, spec, cap):
+        if not isomorphic_to_spec(H, spec):
             continue
         reps.append(H)
         seen_conjugates.update(orbit(key, gens, _conjugate_key))
     return reps
 
 
-def babai_check(A, spec, cap=BRUTE_FORCE_CAP):
+def babai_check(A, spec):
     """One conjugacy class of regular copies means the structure behind A
     is a CI-object for this group; two classes give a witness pair."""
     transcript = []
-    reps = regular_subgroups(A, spec, cap)
+    reps = regular_subgroups(A, spec)
     transcript.append({"event": "regular_subgroup_classes", "count": len(reps)})
     if not reps:
         return CiVerdict("inconclusive", None, 0, transcript)
@@ -194,7 +194,7 @@ def babai_check(A, spec, cap=BRUTE_FORCE_CAP):
                      transcript)
 
 
-def holomorph_witness(spec, cap=BRUTE_FORCE_CAP):
+def holomorph_witness(spec):
     """Run the full witness pipeline on the inner holomorph of a group.
 
     Builds the group generated by both regular representations, tests
@@ -202,12 +202,12 @@ def holomorph_witness(spec, cap=BRUTE_FORCE_CAP):
     are conjugate inside it.  A 3-closed holomorph with nonconjugate
     left/right copies certifies a non-CI ternary structure.
     """
-    if spec.size > 64:
+    if spec.size > DEGREE_BUDGET[3]:
         raise ValueError("group order exceeds the arity-3 closure budget")
     A = inner_holomorph(spec)
     GL = regular_representation(spec, "left").group
     GR = regular_representation(spec, "right").group
-    c = are_conjugate_subgroups(A, GL, GR, cap)
+    c = are_conjugate_subgroups(A, GL, GR)
     return {"holomorph_order": A.order,
             "is_3_closed": is_k_closed(A, 3),
             "left_right_conjugate": c is not None}
@@ -217,7 +217,7 @@ def _orbit_partition(H):
     return BlockSystem(H.degree, H.orbits())
 
 
-def partition_transporter(ambient, source, target, cap=BRUTE_FORCE_CAP):
+def partition_transporter(ambient, source, target):
     """Some w in ambient with w^-1(source) = target, or None.
 
     Breadth-first search over the orbit of the source partition; states
@@ -241,14 +241,14 @@ def partition_transporter(ambient, source, target, cap=BRUTE_FORCE_CAP):
                 if image == target:
                     return wg
                 seen.add(image)
-                if len(seen) > cap:
+                if len(seen) > BRUTE_FORCE_CAP:
                     raise CapExceededError("partition orbit exceeds the cap")
                 new.append((image, wg))
         frontier = new
     return None
 
 
-def align_sylow_orbits(R, T, p, ambient=None, cap=BRUTE_FORCE_CAP):
+def align_sylow_orbits(R, T, p):
     """A conjugator making the Sylow p-orbit partitions of R and T agree.
 
     Returns d in <R, T> such that the orbits of a Sylow p-subgroup of T^d
@@ -262,17 +262,15 @@ def align_sylow_orbits(R, T, p, ambient=None, cap=BRUTE_FORCE_CAP):
         raise ValueError("p must divide the group order")
     if not (R.is_regular() and T.is_regular()):
         raise ValueError("R and T must be regular")
-    if not isomorphic_groups(R, T, cap):
+    if not isomorphic_groups(R, T):
         raise ValueError("R and T must be isomorphic")
-    if ambient is None:
-        ambient = PermGroup(R.degree,
-                            list(R.generators) + list(T.generators))
-    if ambient.order > cap:
+    ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
+    if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
-    PR = _orbit_partition(sylow_subgroup(R, p, cap))
-    PT = _orbit_partition(sylow_subgroup(T, p, cap))
+    PR = _orbit_partition(sylow_subgroup(R, p))
+    PT = _orbit_partition(sylow_subgroup(T, p))
     # orbits of (T_p)^d are d^-1 applied to the orbits of T_p
-    return partition_transporter(ambient, PT, PR, cap)
+    return partition_transporter(ambient, PT, PR)
 
 
 def canonical_ratio_patterns(order):
@@ -299,16 +297,16 @@ def canonical_ratio_patterns(order):
     return patterns
 
 
-def _normal_small_subgroups(G, orders, cap):
+def _normal_small_subgroups(G, orders):
     """Subgroups of the 2-part of G, normal in G, of the given orders."""
-    elems = G.elements(cap)
+    elems = G.elements()
     out = []
     seen = set()
     for g in elems:
         o = g.order()
         if o in orders:
             H = PermGroup(G.degree, [g])
-            key = _element_keys(H, cap)
+            key = _element_keys(H)
             if key in seen:
                 continue
             seen.add(key)
@@ -349,7 +347,7 @@ def _two_group_chain(J):
                      for s in _two_group_chain(act.group)]
 
 
-def _two_group_tail(R, T, cap, transcript):
+def _two_group_tail(R, T, transcript):
     """Conjugate T into a common Sylow 2-subgroup with R and chain down.
 
     Returns (conjugator, proper systems ascending) for the 2-group pair.
@@ -361,10 +359,10 @@ def _two_group_tail(R, T, cap, transcript):
     if _is_power_of(ambient.order, 2):
         d = Permutation.identity(n)
     else:
-        P = sylow_subgroup(ambient, 2, cap, containing=R)
-        Pkeys = _element_keys(P, cap)
+        P = sylow_subgroup(ambient, 2, containing=R)
+        Pkeys = _element_keys(P)
         d = None
-        for c in ambient.elements(cap):
+        for c in ambient.elements():
             cinv = c.inverse()
             if all((cinv * t * c).images in Pkeys for t in T.generators):
                 d = c
@@ -388,7 +386,7 @@ def _quotient_pair(R, T, bs):
     return act, RB, TB
 
 
-def _descend(R, T, cap, transcript):
+def _descend(R, T, transcript):
     """Recursive tower construction.
 
     Returns (conjugator c, proper nontrivial systems of <R, T^c>
@@ -400,23 +398,23 @@ def _descend(R, T, cap, transcript):
         return ident, [], None
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
     if not odd:
-        d, chain = _two_group_tail(R, T, cap, transcript)
+        d, chain = _two_group_tail(R, T, transcript)
         return d, chain, None
     p = odd[0]
-    delta = align_sylow_orbits(R, T, p, cap=cap)
+    delta = align_sylow_orbits(R, T, p)
     if delta is not None:
-        base = _orbit_partition(sylow_subgroup(R, p, cap))
+        base = _orbit_partition(sylow_subgroup(R, p))
         tag = None
         transcript.append({"event": "aligned", "prime": p,
                            "block_size": base.block_size})
     else:
         transcript.append({"event": "alignment_failed", "prime": p})
-        delta, base, tag = _exceptional_descent(R, T, cap, transcript)
+        delta, base, tag = _exceptional_descent(R, T, transcript)
         if delta is None:
             return None, None, None
     T1 = T.conjugate(delta)
     act, RB, TB = _quotient_pair(R, T1, base)
-    cq, subtower, subtag = _descend(RB, TB, cap, transcript)
+    cq, subtower, subtag = _descend(RB, TB, transcript)
     if cq is None:
         return None, None, None
     lift = act.preimage(cq)
@@ -427,7 +425,7 @@ def _descend(R, T, cap, transcript):
     return total, tower, tag or subtag
 
 
-def _exceptional_descent(R, T, cap, transcript):
+def _exceptional_descent(R, T, transcript):
     """Fallback when no odd-prime alignment exists: align the orbit
     partition of a small normal 2-subgroup instead (blocks of size 4,
     then 2)."""
@@ -435,11 +433,11 @@ def _exceptional_descent(R, T, cap, transcript):
     for size in (4, 2):
         if R.order % size != 0:
             continue
-        for HR in _normal_small_subgroups(R, {size}, cap):
+        for HR in _normal_small_subgroups(R, {size}):
             PR = _orbit_partition(HR)
-            for HT in _normal_small_subgroups(T, {size}, cap):
+            for HT in _normal_small_subgroups(T, {size}):
                 PT = _orbit_partition(HT)
-                d = partition_transporter(ambient, PT, PR, cap)
+                d = partition_transporter(ambient, PT, PR)
                 if d is None:
                     continue
                 dinv = d.inverse()
@@ -455,7 +453,7 @@ def _exceptional_descent(R, T, cap, transcript):
     return None, None, None
 
 
-def block_tower_search(R, T, cap=BRUTE_FORCE_CAP):
+def block_tower_search(R, T):
     """Find g making <R, T^g> normally imprimitive all the way down.
 
     Aligns Sylow orbit partitions largest odd prime first, recurses
@@ -466,16 +464,16 @@ def block_tower_search(R, T, cap=BRUTE_FORCE_CAP):
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_regular():
             raise ValueError(f"{name} must be regular")
-    verdict = group_in_family_R(R, cap)
+    verdict = group_in_family_R(R)
     if not verdict["member"]:
         raise ValueError("R is outside the supported family")
-    if not isomorphic_groups(R, T, cap):
+    if not isomorphic_groups(R, T):
         raise ValueError("R and T must be isomorphic")
     ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
-    if ambient.order > cap:
+    if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
     transcript = []
-    c, tower, tag = _descend(R, T, cap, transcript)
+    c, tower, tag = _descend(R, T, transcript)
     if c is None:
         return {"status": "failure", "transcript": transcript}
     n = R.degree
@@ -495,25 +493,25 @@ def block_tower_search(R, T, cap=BRUTE_FORCE_CAP):
     return TowerResult(c, full, ratios, tag, transcript)
 
 
-def support_decomposition(N, bs, cap=BRUTE_FORCE_CAP):
+def support_decomposition(N, bs):
     """Supports of the simple direct factors of the socle of N.
 
     N must act on each cell of bs, with socle restricting to a transitive
     nonabelian simple group there; the factor supports then partition the
     points into cells coarsening bs.
     """
-    S = socle(N, cap)
+    S = socle(N)
     for cell in bs.blocks:
-        restr = block_restriction(S, cell, cap)
+        restr = block_restriction(S, cell)
         if not restr.is_transitive():
             raise ValueError("socle is intransitive on a block")
         if all(a * b == b * a for a in restr.generators
                for b in restr.generators):
             raise ValueError("socle restricts to an abelian group on a block")
-        mins = minimal_normal_subgroups(restr, cap)
+        mins = minimal_normal_subgroups(restr)
         if len(mins) != 1 or mins[0].order != restr.order:
             raise ValueError("socle restriction to a block is not simple")
-    factors = minimal_normal_subgroups(S, cap)
+    factors = minimal_normal_subgroups(S)
     cells = [tuple(support(F)) for F in factors]
     covered = sorted(x for cell in cells for x in cell)
     if covered != list(range(N.degree)):
@@ -521,12 +519,12 @@ def support_decomposition(N, bs, cap=BRUTE_FORCE_CAP):
     return sorted(cells)
 
 
-def semiregular_classes(T, p, cap=BRUTE_FORCE_CAP):
+def semiregular_classes(T, p):
     """Number of T-conjugacy classes of semiregular order-p subgroups."""
     if not _is_prime(p):
         raise ValueError("p must be prime")
     subs = set()
-    for g in T.elements(cap):
+    for g in T.elements():
         if g.order() != p:
             continue
         if any(g(x) == x for x in range(T.degree)):

@@ -14,9 +14,9 @@ import time
 
 from .ci import TowerResult, babai_check, block_tower_search
 from .closures import BudgetExceededError, k_closure
-from .perm import BRUTE_FORCE_CAP, CapExceededError, PermGroup
+from .perm import CapExceededError, PermGroup
 from .repro import CLAIMS, run_claim
-from .zoo import GroupSpec, inner_holomorph, regular_representation
+from .zoo import SPEC_PARAMS, GroupSpec, inner_holomorph, regular_representation
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -24,11 +24,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 _NAME_RE = re.compile(r"^\s*([a-z0-9_]+)\s*(?:\(\s*([0-9,\s]*)\s*\))?\s*$")
-
-# Spec kinds accepted in name syntax, with their argument counts.
-_SPEC_ARITY = {"cyclic": 1, "elementary_abelian_2": 1, "dihedral": 1,
-               "dicyclic": 1, "frobenius": 2, "zn_semidirect_y": 3,
-               "z4": 0, "z8": 0, "q8": 0}
 
 
 def parse_spec(text):
@@ -41,12 +36,12 @@ def parse_spec(text):
         raise ValueError(f"cannot parse spec {text!r}")
     kind, args = m.group(1), m.group(2)
     args = [int(a) for a in args.split(",") if a.strip()] if args else []
-    if kind not in _SPEC_ARITY:
-        raise ValueError(f"unknown spec kind {kind!r}")
-    if len(args) != _SPEC_ARITY[kind]:
-        raise ValueError(f"{kind} takes {_SPEC_ARITY[kind]} argument(s), "
+    params = SPEC_PARAMS.get(kind, ())
+    spec = GroupSpec(kind, **dict(zip(params, args)))
+    if len(args) > len(params):
+        raise ValueError(f"{kind} takes {len(params)} argument(s), "
                          f"got {len(args)}")
-    return getattr(GroupSpec, kind)(*args)
+    return spec
 
 
 def _load_group(path):
@@ -91,7 +86,7 @@ def cmd_closure(args):
         spec = parse_spec(args.spec)
         G = regular_representation(spec, "left").group
         source = {"spec": spec.to_json()}
-    C = k_closure(G, args.k, args.budget)
+    C = k_closure(G, args.k)
     _emit({"source": source, "k": args.k,
            "closure": _group_json(C),
            "is_k_closed": C.order == G.order}, args.out)
@@ -104,7 +99,7 @@ def cmd_ci_check(args):
         A = _load_group(args.fixture)
     else:
         A = inner_holomorph(parse_spec(args.spec))
-    verdict = babai_check(A, target, args.cap)
+    verdict = babai_check(A, target)
     _emit({"ambient_order": A.order, "target": target.to_json(),
            "verdict": verdict.to_json()}, args.out)
     return EXIT_PASS if verdict.status != "not_ci_witness" else EXIT_FAIL
@@ -113,7 +108,7 @@ def cmd_ci_check(args):
 def cmd_tower(args):
     R = _load_group(args.groups[0])
     T = _load_group(args.groups[1])
-    result = block_tower_search(R, T, args.cap)
+    result = block_tower_search(R, T)
     if isinstance(result, TowerResult):
         _emit(result.to_json(), args.out)
         return EXIT_PASS
@@ -147,7 +142,6 @@ def build_parser():
     p.add_argument("--spec")
     p.add_argument("--fixture", help="path to a PermGroup JSON file")
     p.add_argument("--k", type=int, choices=[1, 2, 3], default=2)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_closure)
 
@@ -156,14 +150,12 @@ def build_parser():
     p.add_argument("--spec", help="ambient = inner holomorph of this spec")
     p.add_argument("--fixture", help="ambient from a PermGroup JSON file")
     p.add_argument("--target-spec", required=True)
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ci_check)
 
     p = sub.add_parser("tower", help="block tower search for two regular "
                                      "groups from JSON files")
     p.add_argument("groups", nargs=2, metavar="GROUP_JSON")
-    p.add_argument("--cap", type=int, default=BRUTE_FORCE_CAP)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_tower)
 

@@ -11,8 +11,8 @@ import itertools
 
 from .perm import PermGroup, Permutation, orbit
 
-# Degree budgets keep the tuple tables at desk scale.
-DEGREE_BUDGET = {1: 4096, 2: 256, 3: 64}
+# Degree budgets per arity; each bounds the run time, not only the tables.
+DEGREE_BUDGET = {1: 32, 2: 256, 3: 64}
 
 
 class BudgetExceededError(RuntimeError):
@@ -77,13 +77,12 @@ class ColoredStructure:
         return cls(data["degree"], data["arity"], data["colors"])
 
 
-def _check_budget(n, k, budget=None):
+def _check_budget(n, k):
     if k not in DEGREE_BUDGET:
         raise ValueError("arity must be 1, 2 or 3")
-    limit = budget if budget is not None else DEGREE_BUDGET[k]
-    if n > limit:
+    if n > DEGREE_BUDGET[k]:
         raise BudgetExceededError(
-            f"degree {n} exceeds budget {limit} for arity {k}")
+            f"degree {n} exceeds budget {DEGREE_BUDGET[k]} for arity {k}")
 
 
 def _tuple_action_table(g, n, k):
@@ -100,10 +99,10 @@ def _tuple_action_table(g, n, k):
     return table
 
 
-def orbit_coloring(G, k, budget=None):
+def orbit_coloring(G, k):
     """Color two k-tuples alike iff they lie in one G-orbit."""
     n = G.degree
-    _check_budget(n, k, budget)
+    _check_budget(n, k)
     total = n ** k
     tables = [_tuple_action_table(g, n, k) for g in G.generators]
     colors = [-1] * total
@@ -150,7 +149,7 @@ def _point_invariants(S):
         classes = new
 
 
-def automorphisms(S, budget=None):
+def automorphisms(S):
     """The full automorphism group of a colored structure.
 
     Strong generators are found base point by base point: for each level i
@@ -158,7 +157,7 @@ def automorphisms(S, budget=None):
     an automorphism fixing 0..i-1 and sending i to y, or proves none exists.
     """
     n, k = S.degree, S.arity
-    _check_budget(n, k, budget)
+    _check_budget(n, k)
     if n == 0:
         return PermGroup.trivial(0)
     colors = S.colors
@@ -231,14 +230,13 @@ def automorphisms(S, budget=None):
     return PermGroup(n, gens)
 
 
-def k_closure(G, k, budget=None):
+def k_closure(G, k):
     """The largest group with G's orbits on ordered k-tuples."""
-    return automorphisms(orbit_coloring(G, k, budget), budget)
+    return automorphisms(orbit_coloring(G, k))
 
 
-def is_k_closed(G, k, budget=None):
-    closure = k_closure(G, k, budget)
-    return closure.order == G.order
+def is_k_closed(G, k):
+    return k_closure(G, k).order == G.order
 
 
 def brute_force_automorphisms(S):

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 from math import gcd
 
-# Operations that need to touch every group element refuse to run past this
-# many elements unless the caller raises the cap explicitly.
+# Operations that touch every group element refuse groups larger than this.
 BRUTE_FORCE_CAP = 10**6
 
 
@@ -46,6 +45,8 @@ class Permutation:
         """Build a permutation of degree n from disjoint cycles."""
         images = list(range(n))
         for cyc in cycles:
+            if not cyc:
+                raise ValueError("empty cycle")
             for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
                 if not isinstance(a, int) or not 0 <= a < n:
                     raise ValueError(f"cycle point {a!r} not in 0..{n - 1}")
@@ -295,7 +296,7 @@ class _Chain:
 class PermGroup:
     """A permutation group given by generators; chain built at construction."""
 
-    def __init__(self, degree, generators, base_hint=()):
+    def __init__(self, degree, generators):
         gens = []
         seen = set()
         for g in generators:
@@ -306,7 +307,7 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(sorted(gens))
-        self._chain = _Chain(degree, self.generators, base_hint=base_hint)
+        self._chain = _Chain(degree, self.generators)
         self.order = self._chain.order
 
     @classmethod
@@ -441,17 +442,17 @@ def normal_closure(G, S):
         H = PermGroup(G.degree, gens)
 
 
-def centralizer(G, H, cap=BRUTE_FORCE_CAP):
+def centralizer(G, H):
     """Elements of G commuting with every element of H (brute force)."""
-    gens = [g for g in G.elements(cap)
+    gens = [g for g in G.elements()
             if all(g * h == h * g for h in H.generators)]
     return PermGroup(G.degree, gens)
 
 
-def normalizer(G, H, cap=BRUTE_FORCE_CAP):
+def normalizer(G, H):
     """Elements of G normalizing H (brute force)."""
     out = []
-    for g in G.elements(cap):
+    for g in G.elements():
         ginv = g.inverse()
         if all(H.contains(ginv * h * g) for h in H.generators):
             out.append(g)
@@ -471,14 +472,14 @@ def _conjugacy_class_reps(G, elems):
     return reps
 
 
-def minimal_normal_subgroups(G, cap=BRUTE_FORCE_CAP):
+def minimal_normal_subgroups(G):
     """Nontrivial normal subgroups containing no smaller ones.
 
     Scans normal closures of one representative per conjugacy class of
     prime-order elements (every minimal normal subgroup is the closure of
     any of its nonidentity elements, and contains elements of prime order).
     """
-    elems = G.elements(cap)
+    elems = G.elements()
     prime_order = [e for e in elems
                    if not e.is_identity() and _is_prime(e.order())]
     closures = []
@@ -495,10 +496,10 @@ def minimal_normal_subgroups(G, cap=BRUTE_FORCE_CAP):
     return minimal
 
 
-def socle(G, cap=BRUTE_FORCE_CAP):
+def socle(G):
     """Subgroup generated by all minimal normal subgroups."""
     gens = []
-    for N in minimal_normal_subgroups(G, cap):
+    for N in minimal_normal_subgroups(G):
         gens.extend(N.generators)
     return PermGroup(G.degree, gens)
 
@@ -528,7 +529,7 @@ def prime_factors(n):
     return out
 
 
-def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP, containing=None):
+def sylow_subgroup(G, p, containing=None):
     """A Sylow p-subgroup, grown inside normalizers of partial p-subgroups.
 
     The growth starts from the p-subgroup `containing` when given, else
@@ -559,11 +560,11 @@ def sylow_subgroup(G, p, cap=BRUTE_FORCE_CAP, containing=None):
 
     P = containing
     if P is None:
-        start = min(g for g in G.elements(cap) if g.order() == p)
+        start = min(g for g in G.elements() if g.order() == p)
         P = PermGroup(G.degree, [start])
     while P.order < target:
-        N = normalizer(G, P, cap)
-        bigger = p_element(N.elements(cap), P)
+        N = normalizer(G, P)
+        bigger = p_element(N.elements(), P)
         if bigger is None:  # cannot happen by Sylow theory
             raise RuntimeError("sylow extension failed")
         P = bigger
@@ -590,11 +591,8 @@ def element_mapping_points(G, sources, targets):
     return chain.element_with_base_images(list(targets))
 
 
-def closure_of_subset(degree, elems, limit=None):
-    """Multiplicative closure of a set of permutations, as a set.
-
-    Stops early (returning None) if the closure grows past `limit`.
-    """
+def closure_of_subset(degree, elems):
+    """Multiplicative closure of a set of permutations, as a set."""
     elems = set(elems)
     elems.add(Permutation.identity(degree))
     frontier = list(elems)
@@ -606,7 +604,5 @@ def closure_of_subset(degree, elems, limit=None):
                     if c not in elems:
                         elems.add(c)
                         new.append(c)
-                        if limit is not None and len(elems) > limit:
-                            return None
         frontier = new
     return elems

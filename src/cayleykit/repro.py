@@ -29,6 +29,9 @@ from .zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
 
 # ---------------------------------------------------------------- oracles
 
+ORACLE_CAP = 10 ** 5
+
+
 def invariant_partition_scan(G):
     """Every nontrivial equal-cell partition preserved by G, by brute force."""
     n = G.degree
@@ -55,9 +58,9 @@ def _equal_partitions(points, size):
             yield [cell] + tail
 
 
-def all_subgroups(A, cap=10 ** 5):
+def all_subgroups(A):
     """The full subgroup lattice of a small group, as element-key sets."""
-    elems = A.elements(cap)
+    elems = A.elements(ORACLE_CAP)
     n = A.degree
     ident = Permutation.identity(n)
     subgroups = {frozenset([ident.images])}
@@ -78,16 +81,16 @@ def all_subgroups(A, cap=10 ** 5):
     return subgroups
 
 
-def regular_class_scan(A, specs, cap=10 ** 5):
+def regular_class_scan(A, specs):
     """Conjugacy classes of regular copies of each spec via the full lattice.
 
     The lattice of A is grown once; the result holds one class list for each
     spec, in the order of specs.
     """
     n = A.degree
-    elems = A.elements(cap)
+    elems = A.elements(ORACLE_CAP)
     regular = []
-    for key in all_subgroups(A, cap):
+    for key in all_subgroups(A):
         if len(key) != n:
             continue
         H = PermGroup(n, [Permutation(im) for im in key])
@@ -299,7 +302,8 @@ def dic3_partition_stabilizer():
     return R, PermGroup(12, gens)
 
 
-def claim_tower_dic3(seed=20210921, samples=20):
+def claim_tower_dic3(seed=20210921):
+    samples = 20
     R, W = dic3_partition_stabilizer()
     elems = W.elements()
     rng = random.Random(seed)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .perm import (BRUTE_FORCE_CAP, PermGroup, Permutation, _is_prime,
-                   prime_factors, sylow_subgroup)
+from .perm import (PermGroup, Permutation, _is_prime, prime_factors,
+                   sylow_subgroup)
 
 # |Aut(R2)| for the possible Sylow 2-subgroups of family members, in the
 # order 1, Z2, Z2^2, Z2^3, Z2^4, Z4, Z8, Q8.
@@ -20,8 +20,15 @@ AUT_ORDERS_OF_SYLOW_2 = {
 }
 
 
-# The parameters of GroupSpec kinds that are integers.
-_INT_PARAMS = ("n", "e", "m", "p", "order_of_y", "action")
+# The integer parameters of each GroupSpec kind except direct_product, in
+# the order that the constructors and the CLI's name syntax take them.
+SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "z4": (),
+               "z8": (), "q8": (), "dihedral": ("m",), "dicyclic": ("m",),
+               "zn_semidirect_y": ("n", "order_of_y", "action"),
+               "frobenius": ("p", "n")}
+
+# The largest spec order; regular representations are built eagerly.
+MAX_SPEC_ORDER = 2048
 
 
 class GroupSpec:
@@ -79,18 +86,32 @@ class GroupSpec:
 
     def _validate(self):
         k, p = self.kind, self.params
-        for name in _INT_PARAMS:
-            if name in p and (not isinstance(p[name], int)
-                              or isinstance(p[name], bool)):
-                raise ValueError(f"{name} must be an int, got {p[name]!r}")
+        if k == "direct_product":
+            names = ("factors",)
+        elif isinstance(k, str) and k in SPEC_PARAMS:
+            names = SPEC_PARAMS[k]
+        else:
+            raise ValueError(f"unknown kind {k!r}")
+        for name in names:
+            if name not in p:
+                raise ValueError(f"{k} needs parameter {name!r}")
+        for name, value in p.items():
+            if name not in names:
+                raise ValueError(f"{k} takes no parameter {name!r}")
+            if name == "factors":
+                if not (isinstance(value, tuple) and value and all(
+                        isinstance(f, GroupSpec) for f in value)):
+                    raise ValueError("factors must be a nonempty list of specs")
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        # bound e so that computing the order 2**e below stays cheap
+        if k == "elementary_abelian_2" and not 0 <= p["e"] <= MAX_SPEC_ORDER:
+            raise ValueError("exponent out of range")
+        if self.size > MAX_SPEC_ORDER:
+            raise ValueError(f"group order exceeds {MAX_SPEC_ORDER}")
         if k == "cyclic":
             if p["n"] < 1:
                 raise ValueError("cyclic order must be positive")
-        elif k == "elementary_abelian_2":
-            if not 0 <= p["e"] <= 16:
-                raise ValueError("exponent out of range")
-        elif k in ("z4", "z8", "q8"):
-            pass
         elif k == "dihedral":
             if p["m"] < 1:
                 raise ValueError("dihedral parameter must be positive")
@@ -99,9 +120,6 @@ class GroupSpec:
             # dicyclic group exactly for odd m
             if p["m"] < 3 or p["m"] % 2 == 0:
                 raise ValueError("dicyclic(m) requires odd m >= 3")
-        elif k == "direct_product":
-            if not p["factors"]:
-                raise ValueError("empty direct product")
         elif k == "zn_semidirect_y":
             n, oy, a = p["n"], p["order_of_y"], p["action"] % p["n"]
             if n < 1 or n % 2 == 0:
@@ -119,8 +137,6 @@ class GroupSpec:
                 raise ValueError("p must be prime")
             if n < 2 or (pp - 1) % n != 0:
                 raise ValueError("n must divide p-1 and be at least 2")
-        else:
-            raise ValueError(f"unknown kind {k!r}")
 
     @property
     def size(self):
@@ -300,12 +316,9 @@ class GroupSpec:
         if not isinstance(data, dict):
             raise ValueError(f"a spec must be a JSON object: {data!r}")
         data = dict(data)
-        kind = data.pop("kind")
-        if kind == "direct_product":
-            if not isinstance(data["factors"], list):
-                raise ValueError("factors must be a list of specs")
-            return cls.direct_product(
-                [cls.from_json(f) for f in data["factors"]])
+        kind = data.pop("kind", None)
+        if isinstance(data.get("factors"), list):
+            data["factors"] = tuple(map(cls.from_json, data["factors"]))
         return cls(kind, **data)
 
     def __repr__(self):
@@ -428,7 +441,7 @@ def _two_group_type(Q):
 FAMILY_CASE_A_TYPES = ("1", "z2", "z2^2", "z2^3", "z2^4", "z4", "q8")
 
 
-def group_in_family_R(G, cap=BRUTE_FORCE_CAP):
+def group_in_family_R(G):
     """Decide membership of an abstract group (given as permutations).
 
     Family members are Zn x R2 for n odd square-free and R2 one of the
@@ -439,7 +452,7 @@ def group_in_family_R(G, cap=BRUTE_FORCE_CAP):
     m = _odd_part(order)
     if not _is_squarefree(m):
         return {"member": False, "case": None, "witness": None}
-    elems = G.elements(cap)
+    elems = G.elements()
     odd_elems = [g for g in elems if g.order() % 2 == 1]
     C = PermGroup(G.degree, odd_elems)
     if C.order != m or not any(g.order() == m for g in odd_elems):
@@ -447,7 +460,7 @@ def group_in_family_R(G, cap=BRUTE_FORCE_CAP):
     if order == m:  # odd group: member iff cyclic, which we just checked
         return {"member": True, "case": "a",
                 "witness": {"n": m, "sylow_2": "1"}}
-    Q = sylow_subgroup(G, 2, cap)
+    Q = sylow_subgroup(G, 2)
     commute = all(q * c == c * q for q in Q.generators for c in C.generators)
     if commute:
         qtype = _two_group_type(Q)
@@ -477,13 +490,13 @@ def group_in_family_R(G, cap=BRUTE_FORCE_CAP):
     return {"member": False, "case": None, "witness": None}
 
 
-def in_family_R(spec, cap=BRUTE_FORCE_CAP):
+def in_family_R(spec):
     """Membership of the abstract group described by spec."""
     G = regular_representation(spec, "left").group
-    return group_in_family_R(G, cap)
+    return group_in_family_R(G)
 
 
-def isomorphic_to_spec(H, spec, cap=BRUTE_FORCE_CAP):
+def isomorphic_to_spec(H, spec):
     """Abstract isomorphism between a permutation group and a spec.
 
     Cheap invariants first (order histogram, center and derived-subgroup
@@ -492,7 +505,7 @@ def isomorphic_to_spec(H, spec, cap=BRUTE_FORCE_CAP):
     if H.order != spec.size:
         return False
     R = regular_representation(spec, "left").group
-    return isomorphic_groups(H, R, cap)
+    return isomorphic_groups(H, R)
 
 
 def _group_fingerprint(G, elems):
@@ -515,11 +528,11 @@ def _derived_size(G, elems, elemset):
     return PermGroup(G.degree, gens).order
 
 
-def isomorphic_groups(A, B, cap=BRUTE_FORCE_CAP):
+def isomorphic_groups(A, B):
     """Backtrack isomorphism test between two small groups."""
     if A.order != B.order:
         return False
-    ea, eb = A.elements(cap), B.elements(cap)
+    ea, eb = A.elements(), B.elements()
     if _group_fingerprint(A, ea) != _group_fingerprint(B, eb):
         return False
     gens = _small_generating_sequence(A, ea)

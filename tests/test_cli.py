@@ -83,6 +83,17 @@ class TestConstruct:
             code, _ = usage_error(capsys, "construct", "--spec", spec)
             assert code == 2
 
+    def test_missing_or_extra_json_parameter_is_usage_error(self, capsys):
+        for spec, name in [('{"kind": "cyclic", "n": 1, "x": 2}', "'x'"),
+                           ('{"kind": "cyclic"}', "'n'")]:
+            code, payload = usage_error(capsys, "construct", "--spec", spec)
+            assert code == 2 and name in payload["error"]
+
+    def test_order_over_limit_is_usage_error(self, capsys):
+        code, payload = usage_error(capsys, "construct", "--spec",
+                                    "cyclic(2049)")
+        assert code == 2 and "2048" in payload["error"]
+
 
 class TestClosure:
     def test_prime_cycle_2_closed(self, capsys):
@@ -97,8 +108,7 @@ class TestClosure:
         assert code == 2
 
     def test_budget_exit_code(self, capsys):
-        code, _ = run(capsys, "closure", "--spec", "cyclic(10)", "--k", "2",
-                      "--budget", "8")
+        code, _ = run(capsys, "closure", "--spec", "cyclic(33)", "--k", "1")
         assert code == 3
 
     def test_fixture_input(self, capsys, tmp_path):

@@ -116,9 +116,6 @@ class TestKClosure:
         G = regular(GroupSpec.cyclic(70))
         with pytest.raises(BudgetExceededError):
             k_closure(G, 3)
-        # explicit budget override
-        with pytest.raises(BudgetExceededError):
-            k_closure(regular(GroupSpec.cyclic(10)), 2, budget=8)
 
     def test_bad_arity(self):
         with pytest.raises(ValueError):
@@ -127,3 +124,4 @@ class TestKClosure:
 
 def test_default_budgets():
     assert DEGREE_BUDGET[2] == 256 and DEGREE_BUDGET[3] == 64
+    assert DEGREE_BUDGET[1] == 32

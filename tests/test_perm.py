@@ -1,6 +1,11 @@
+import argparse
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cayleykit
+from cayleykit.cli import build_parser
 from cayleykit.perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup,
                             Permutation, closure_of_subset,
                             element_mapping_points, is_normal_in,
@@ -53,7 +58,8 @@ class TestPermutation:
             for build in builders:
                 with pytest.raises(ValueError):
                     build(images)
-        for cycles in [[(0, 1), (1, 2)], [(0, 3)], [(0, "1")], [(0, 1.0)]]:
+        for cycles in [[(0, 1), (1, 2)], [(0, 3)], [(0, "1")], [(0, 1.0)],
+                       [()]]:
             with pytest.raises(ValueError):
                 Permutation.from_cycles(3, cycles)
 
@@ -165,7 +171,36 @@ class TestSubgroupMachinery:
     def test_closure_of_subset(self):
         elems = closure_of_subset(3, [Permutation([1, 0, 2])])
         assert len(elems) == 2
-        assert closure_of_subset(4, [perm((0, 1, 2, 3), n=4)], limit=3) is None
+
+
+def test_public_surface_has_no_limit_parameters():
+    # Limits are library constants; PermGroup.elements keeps its cap because
+    # the repro oracles pass their own.
+    banned = {"cap", "budget", "base_hint", "limit"}
+    found = []
+    for name in dir(cayleykit):
+        obj = getattr(cayleykit, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members += [(f"{name}.{attr}", fn)
+                        for attr, fn in inspect.getmembers(obj, callable)
+                        if not attr.startswith("_")]
+        for label, fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            found += [f"{label}({p})" for p in params if p in banned]
+    assert found == ["PermGroup.elements(cap)"]
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values()
+               for action in sub._actions for opt in action.option_strings}
+    assert "--k" in options
+    assert not options & {"--cap", "--budget"}
 
 
 def test_prime_factors():

@@ -35,6 +35,16 @@ class TestGroupSpecValidation:
         with pytest.raises(ValueError):
             GroupSpec.frobenius(7, 4)
 
+    def test_order_over_limit_rejected(self):
+        with pytest.raises(ValueError):
+            GroupSpec.elementary_abelian_2(16)
+        with pytest.raises(ValueError):
+            GroupSpec.cyclic(2049)
+        with pytest.raises(ValueError):
+            GroupSpec.direct_product([GroupSpec.cyclic(64),
+                                      GroupSpec.dihedral(17)])
+        assert GroupSpec.cyclic(2048).size == 2048
+
     def test_json_roundtrip(self):
         for spec in CORPUS:
             clone = GroupSpec.from_json(spec.to_json())
