@@ -85,18 +85,18 @@ def _check_budget(n, k):
             f"degree {n} exceeds budget {DEGREE_BUDGET[k]} for arity {k}")
 
 
+def _tuple_codes(digit, radix, k):
+    """The radix-`radix` number with digits digit[x_1]..digit[x_k] of every
+    k-tuple (x_1..x_k), in encoding order."""
+    table = digit
+    for _ in range(k - 1):
+        table = [a * radix + b for a in table for b in digit]
+    return table
+
+
 def _tuple_action_table(g, n, k):
     """Index map of the componentwise action of g on encoded k-tuples."""
-    # image(idx) = sum over digits of g[digit] * n^pos
-    powers = [n ** (k - 1 - i) for i in range(k)]
-    table = [0] * (n ** k)
-    for idx in range(n ** k):
-        rest, img = idx, 0
-        for p in powers:
-            d, rest = divmod(rest, p) if p > 1 else (rest, 0)
-            img += g(d) * p
-        table[idx] = img
-    return table
+    return _tuple_codes([g(x) for x in range(n)], n, k)
 
 
 def orbit_coloring(G, k):
@@ -118,35 +118,53 @@ def orbit_coloring(G, k):
 
 def is_automorphism(S, p):
     """True iff p preserves the color of every tuple."""
-    if p.degree != S.degree:
+    n, k = S.degree, S.arity
+    if p.degree != n:
         raise ValueError("degree mismatch")
-    tab = _tuple_action_table(p, S.degree, S.arity)
+    # the image of tuple (x_1..x_k) is encoded as the sum of p(x_i) * n^(k-i);
+    # product() walks the tuples in encoding order
+    digits = [[p(x) * n ** (k - 1 - i) for x in range(n)] for i in range(k)]
     colors = S.colors
-    return all(colors[tab[t]] == colors[t] for t in range(len(colors)))
+    return all(colors[t] == c
+               for t, c in zip(map(sum, itertools.product(*digits)), colors))
 
 
 def _point_invariants(S):
     """Iterated refinement classes of points under the coloring.
 
-    Returns a list class_id[x]; automorphisms preserve classes.
+    Returns a list class_id[x]; automorphisms preserve classes.  A point's
+    signature lists, per position, the sorted (color, classes of the
+    coordinates) of the tuples holding it there; each round splits classes
+    by signature until no class splits.
     """
     n, k = S.degree, S.arity
+    total = n ** k
     colors = S.colors
+    # tuples with x at position i: runs of n^(k-1-i) every n^(k-i)
+    runs = [(n ** (k - 1 - i), n ** (k - i)) for i in range(k)]
     classes = [0] * n
-    tuples = [S.decode(t) for t in range(n ** k)]
+    num_classes = 1
     while True:
-        sigs = [[] for _ in range(n)]
-        for idx, tup in enumerate(tuples):
-            c = colors[idx]
-            key = (c,) + tuple(classes[x] for x in tup)
-            for pos, x in enumerate(tup):
-                sigs[x].append((pos,) + key)
-        canon = [tuple(sorted(s)) for s in sigs]
-        order = sorted(set(canon))
-        new = [order.index(c) for c in canon]
-        if new == classes:
+        # one int per tuple packs its color and its coordinates' classes
+        shift = num_classes ** k
+        keys = [c * shift + t for c, t in
+                zip(colors, _tuple_codes(classes, num_classes, k))]
+        rank = {}
+        new = []
+        for x in range(n):
+            sig = []
+            for run, step in runs:
+                if run == 1:
+                    sig += sorted(keys[x::n])
+                else:
+                    sig += sorted(itertools.chain.from_iterable(
+                        keys[s:s + run] for s in range(x * run, total, step)))
+            new.append(rank.setdefault(tuple(sig), len(rank)))
+        # each signature determines the old class, so the partition only
+        # refines; it is stable once the class count stops growing
+        if len(rank) == num_classes:
             return classes
-        classes = new
+        classes, num_classes = new, len(rank)
 
 
 def automorphisms(S):
@@ -216,12 +234,11 @@ def automorphisms(S):
 
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
+        fixed = {j: j for j in range(i)}
         for y in members[classes[i]]:
-            if y in orb or y <= i:
+            if y in orb or y <= i or not consistent(fixed, i, y):
                 continue
-            partial = {j: j for j in range(i)}
-            if not consistent(partial, i, y):
-                continue
+            partial = dict(fixed)
             partial[i] = y
             g = complete(partial, set(partial.values()))
             if g is not None:

@@ -121,9 +121,10 @@ class GroupSpec:
             if p["m"] < 3 or p["m"] % 2 == 0:
                 raise ValueError("dicyclic(m) requires odd m >= 3")
         elif k == "zn_semidirect_y":
-            n, oy, a = p["n"], p["order_of_y"], p["action"] % p["n"]
+            n, oy = p["n"], p["order_of_y"]
             if n < 1 or n % 2 == 0:
                 raise ValueError("n must be odd")
+            a = p["action"] % n
             if oy not in (2, 4, 8):
                 raise ValueError("order of y must be 2, 4 or 8")
             if (a * a) % n != 1 % n:

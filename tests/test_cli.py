@@ -94,6 +94,11 @@ class TestConstruct:
                                     "cyclic(2049)")
         assert code == 2 and "2048" in payload["error"]
 
+    def test_zero_modulus_is_usage_error(self, capsys):
+        code, payload = usage_error(capsys, "construct", "--spec",
+                                    "zn_semidirect_y(0,2,1)")
+        assert code == 2 and "odd" in payload["error"]
+
 
 class TestClosure:
     def test_prime_cycle_2_closed(self, capsys):

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit.closures import (DEGREE_BUDGET, BudgetExceededError,
-                                ColoredStructure, automorphisms,
+                                ColoredStructure, _point_invariants,
+                                _tuple_action_table, automorphisms,
                                 brute_force_automorphisms, is_automorphism,
                                 is_k_closed, k_closure, orbit_coloring)
 from cayleykit.perm import PermGroup, Permutation
@@ -13,6 +16,55 @@ from cayleykit.zoo import (GroupSpec, frobenius_natural_action,
 
 def regular(spec):
     return regular_representation(spec, "left").group
+
+
+def reference_point_invariants(S):
+    """Refinement over decoded tuples with (pos, color, classes) keys."""
+    n, k = S.degree, S.arity
+    colors = S.colors
+    classes = [0] * n
+    tuples = [S.decode(t) for t in range(n ** k)]
+    while True:
+        sigs = [[] for _ in range(n)]
+        for idx, tup in enumerate(tuples):
+            key = (colors[idx],) + tuple(classes[x] for x in tup)
+            for pos, x in enumerate(tup):
+                sigs[x].append((pos,) + key)
+        canon = [tuple(sorted(s)) for s in sigs]
+        order = sorted(set(canon))
+        new = [order.index(c) for c in canon]
+        if new == classes:
+            return classes
+        classes = new
+
+
+def reference_is_automorphism(S, p):
+    return all(S.colors[S.encode(tuple(p(x) for x in S.decode(t)))] == c
+               for t, c in enumerate(S.colors))
+
+
+def partition(classes):
+    cells = {}
+    for x, c in enumerate(classes):
+        cells.setdefault(c, []).append(x)
+    return sorted(cells.values())
+
+
+def random_coloring(rng, n, k, num_colors):
+    return ColoredStructure(
+        n, k, [rng.randrange(num_colors) for _ in range(n ** k)])
+
+
+def labeled_coloring(rng, n, k, labels):
+    """Color a tuple by its coordinates' labels and its equality pattern,
+    so every permutation preserving the labels is an automorphism."""
+    table = {}
+    colors = []
+    for tup in itertools.product(range(n), repeat=k):
+        key = (tuple(labels[x] for x in tup),
+               tuple(tup.index(x) for x in tup))
+        colors.append(table.setdefault(key, rng.randrange(3)))
+    return ColoredStructure(n, k, colors)
 
 
 class TestColoredStructure:
@@ -49,6 +101,78 @@ class TestOrbitColoring:
     def test_symmetric_group_pair_orbits(self):
         S = orbit_coloring(PermGroup.symmetric(4), 2)
         assert S.num_colors == 2  # diagonal and off-diagonal
+
+
+class TestKernels:
+    def test_tuple_action_table_matches_decode(self):
+        rng = random.Random(5)
+        for n, k in [(1, 3), (2, 1), (4, 2), (5, 3), (7, 3)]:
+            S = ColoredStructure(n, k, [0] * n ** k)
+            g = Permutation(rng.sample(range(n), n))
+            table = _tuple_action_table(g, n, k)
+            assert table == [S.encode(tuple(g(x) for x in S.decode(i)))
+                             for i in range(n ** k)]
+
+    def test_point_invariants_match_reference(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n, k = rng.randint(1, 7), rng.choice((1, 2, 3))
+            kind = rng.randrange(3)
+            if kind == 0:
+                S = random_coloring(rng, n, k, rng.randint(1, 3))
+            elif kind == 1:
+                labels = [rng.randrange(3) for _ in range(n)]
+                S = labeled_coloring(rng, n, k, labels)
+            else:
+                # one marked tuple: only its own positions tell points apart
+                colors = [0] * n ** k
+                colors[rng.randrange(n ** k)] = 1
+                S = ColoredStructure(n, k, colors)
+            assert partition(_point_invariants(S)) \
+                == partition(reference_point_invariants(S))
+
+    @pytest.mark.parametrize("k,marked", [(2, (0, 1)), (3, (0, 1, 0)),
+                                          (3, (2, 0, 1))])
+    def test_point_invariants_split_classes(self, k, marked):
+        # the points differ only through the one tuple with color 1
+        S = ColoredStructure(3, k, [0] * 3 ** k)
+        colors = list(S.colors)
+        colors[S.encode(marked)] = 1
+        S = ColoredStructure(3, k, colors)
+        assert partition(_point_invariants(S)) == [[0], [1], [2]]
+
+    def test_is_automorphism_matches_reference(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            n, k = rng.randint(1, 6), rng.choice((1, 2, 3))
+            labels = [rng.randrange(2) for _ in range(n)]
+            S = labeled_coloring(rng, n, k, labels)
+            for _ in range(5):
+                p = Permutation(rng.sample(range(n), n))
+                assert is_automorphism(S, p) \
+                    == reference_is_automorphism(S, p)
+
+
+@st.composite
+def colorings(draw):
+    """Random color tables, raw or derived from random point labels."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.sampled_from((1, 2, 3)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        return random_coloring(rng, n, k, draw(st.integers(1, 3)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return labeled_coloring(rng, n, k, labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(colorings())
+def test_automorphisms_match_brute_force(S):
+    A = automorphisms(S)
+    B = brute_force_automorphisms(S)
+    assert A.order == B.order
+    assert all(B.contains(g) for g in A.generators)
+    assert all(A.contains(g) for g in B.generators)
 
 
 class TestAutomorphisms:
