@@ -7,25 +7,23 @@ cli (command-line surface).
 """
 
 from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
-                   centralizer, closure_of_subset, is_normal_in,
-                   minimal_normal_subgroups, normal_closure, normalizer, orbit,
-                   pointwise_stabilizer, socle, support, sylow_subgroup)
+                   closure_of_subset, is_normal_in, normalizer, orbit,
+                   pointwise_stabilizer, sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      all_block_systems, all_minimal_block_systems,
                      block_restriction, classify_block_system, fix_blocks,
-                     minimal_block_containing, orbit_block_system,
-                     pullback_system, quotient_system, refines, verify_tower)
-from .zoo import (GroupSpec, LabeledPermGroup, ci_order_condition,
-                  cor2_groups, frobenius_natural_action, group_in_family_R,
-                  in_family_R, inner_holomorph, isomorphic_groups,
-                  isomorphic_to_spec, regular_representation, zsigmondy_ppd)
+                     minimal_block_containing, pullback_system, refines,
+                     verify_tower)
+from .zoo import (GroupSpec, LabeledPermGroup, cor2_groups,
+                  frobenius_natural_action, group_in_family_R, in_family_R,
+                  inner_holomorph, isomorphic_groups, isomorphic_to_spec,
+                  regular_representation, zsigmondy_ppd)
 from .closures import (BudgetExceededError, ColoredStructure, automorphisms,
                        is_automorphism, is_k_closed, k_closure,
                        orbit_coloring)
 from .ci import (CiVerdict, TowerResult, align_sylow_orbits,
                  are_conjugate_subgroups, babai_check, block_tower_search,
                  canonical_ratio_patterns, holomorph_witness,
-                 partition_transporter, regular_subgroups,
-                 semiregular_classes, support_decomposition)
+                 partition_transporter, regular_subgroups)
 
 __version__ = "0.1.0"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .perm import (PermGroup, Permutation, element_mapping_points,
-                   is_normal_in, pointwise_stabilizer)
+                   pointwise_stabilizer)
 
 
 class BlockSystem:
@@ -173,16 +173,6 @@ def pullback_system(quotient_bs, bs):
     return BlockSystem(bs.degree, cells)
 
 
-def orbit_block_system(G, N):
-    """The orbit partition of a normal subgroup N as a block system of G."""
-    if not is_normal_in(N, G):
-        raise ValueError("N is not normal in G")
-    orbs = N.orbits()
-    if len({len(o) for o in orbs}) != 1:
-        raise ValueError("orbits of N do not have equal size")
-    return BlockSystem(G.degree, orbs)
-
-
 def fix_blocks(G, bs):
     """The kernel of G's action on the blocks of bs.
 
@@ -283,15 +273,6 @@ def classify_block_system(G, partition):
     fix = fix_blocks(G, bs)
     normal = all(set(fix.orbit(cell[0])) == set(cell) for cell in bs.blocks)
     return {"is_block_system": True, "is_normal": normal}
-
-
-def quotient_system(C, B):
-    """The partition of B-indices induced by the coarser system C."""
-    if not refines(B, C):
-        raise ValueError("B does not refine C")
-    idx = B.block_index_of()
-    cells = [sorted({idx[x] for x in cell}) for cell in C.blocks]
-    return BlockSystem(len(B.blocks), cells)
 
 
 def verify_tower(G, towers):

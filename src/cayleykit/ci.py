@@ -14,12 +14,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .blocks import (BlockSystem, action_on_blocks, block_restriction,
-                     classify_block_system, pullback_system, verify_tower)
+from .blocks import (BlockSystem, action_on_blocks, classify_block_system,
+                     pullback_system, verify_tower)
 from .closures import DEGREE_BUDGET, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
-                   _is_power_of, _is_prime, minimal_normal_subgroups, orbit,
-                   prime_factors, socle, support, sylow_subgroup)
+                   _is_power_of, _is_prime, orbit, prime_factors,
+                   sylow_subgroup)
 from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
                   isomorphic_to_spec, regular_representation)
 
@@ -492,48 +492,3 @@ def block_tower_search(R, T):
         transcript.append({"event": "pattern_mismatch", "ratios": ratios})
     return TowerResult(c, full, ratios, tag, transcript)
 
-
-def support_decomposition(N, bs):
-    """Supports of the simple direct factors of the socle of N.
-
-    N must act on each cell of bs, with socle restricting to a transitive
-    nonabelian simple group there; the factor supports then partition the
-    points into cells coarsening bs.
-    """
-    S = socle(N)
-    for cell in bs.blocks:
-        restr = block_restriction(S, cell)
-        if not restr.is_transitive():
-            raise ValueError("socle is intransitive on a block")
-        if all(a * b == b * a for a in restr.generators
-               for b in restr.generators):
-            raise ValueError("socle restricts to an abelian group on a block")
-        mins = minimal_normal_subgroups(restr)
-        if len(mins) != 1 or mins[0].order != restr.order:
-            raise ValueError("socle restriction to a block is not simple")
-    factors = minimal_normal_subgroups(S)
-    cells = [tuple(support(F)) for F in factors]
-    covered = sorted(x for cell in cells for x in cell)
-    if covered != list(range(N.degree)):
-        raise ValueError("factor supports do not partition the points")
-    return sorted(cells)
-
-
-def semiregular_classes(T, p):
-    """Number of T-conjugacy classes of semiregular order-p subgroups."""
-    if not _is_prime(p):
-        raise ValueError("p must be prime")
-    subs = set()
-    for g in T.elements():
-        if g.order() != p:
-            continue
-        if any(g(x) == x for x in range(T.degree)):
-            continue
-        key = frozenset((g ** i).images for i in range(p))
-        subs.add(key)
-    gens = [(g, g.inverse()) for g in T.generators]
-    classes = 0
-    while subs:
-        classes += 1
-        subs.difference_update(orbit(next(iter(subs)), gens, _conjugate_key))
-    return classes

@@ -184,7 +184,7 @@ def main(argv=None):
         return EXIT_BUDGET
     except SystemExit:
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

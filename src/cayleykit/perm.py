@@ -31,7 +31,7 @@ class Permutation:
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if type(x) is not int or not 0 <= x < n or seen[x]:
                 raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
             seen[x] = True
         self.images = images
@@ -48,7 +48,7 @@ class Permutation:
             if not cyc:
                 raise ValueError("empty cycle")
             for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                if not isinstance(a, int) or not 0 <= a < n:
+                if type(a) is not int or not 0 <= a < n:
                     raise ValueError(f"cycle point {a!r} not in 0..{n - 1}")
                 if images[a] != a:
                     raise ValueError("cycles are not disjoint")
@@ -87,10 +87,6 @@ class Permutation:
             k >>= 1
         return result
 
-    def conjugate(self, c):
-        """c^-1 * self * c."""
-        return c.inverse() * self * c
-
     def is_identity(self):
         return self.images == tuple(range(len(self.images)))
 
@@ -116,9 +112,6 @@ class Permutation:
                 x = self.images[x]
             out.append(tuple(cyc))
         return out
-
-    def fixed_points(self):
-        return [x for x in range(self.degree) if self.images[x] == x]
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -350,9 +343,6 @@ class PermGroup:
                 f"group order {self.order} exceeds cap {cap}")
         return list(self._chain.elements())
 
-    def identity(self):
-        return Permutation.identity(self.degree)
-
     def orbit(self, x):
         return sorted(orbit(x, self.generators, lambda y, g: g(y)))
 
@@ -405,14 +395,6 @@ class PermGroup:
         return cls(degree, [Permutation(imgs) for imgs in gens])
 
 
-def support(H):
-    """All points moved by some generator of H."""
-    pts = set()
-    for g in H.generators:
-        pts.update(x for x in range(H.degree) if g(x) != x)
-    return sorted(pts)
-
-
 def is_normal_in(N, G):
     if not N.is_subgroup_of(G):
         raise ValueError("N is not a subgroup of G")
@@ -424,31 +406,6 @@ def is_normal_in(N, G):
     return True
 
 
-def normal_closure(G, S):
-    """Smallest normal subgroup of G containing the permutations in S."""
-    gens = [s for s in S if not s.is_identity()]
-    H = PermGroup(G.degree, gens)
-    while True:
-        new = []
-        for g in G.generators:
-            ginv = g.inverse()
-            for n in gens:
-                c = ginv * n * g
-                if not H.contains(c):
-                    new.append(c)
-        if not new:
-            return H
-        gens.extend(new)
-        H = PermGroup(G.degree, gens)
-
-
-def centralizer(G, H):
-    """Elements of G commuting with every element of H (brute force)."""
-    gens = [g for g in G.elements()
-            if all(g * h == h * g for h in H.generators)]
-    return PermGroup(G.degree, gens)
-
-
 def normalizer(G, H):
     """Elements of G normalizing H (brute force)."""
     out = []
@@ -457,51 +414,6 @@ def normalizer(G, H):
         if all(H.contains(ginv * h * g) for h in H.generators):
             out.append(g)
     return PermGroup(G.degree, out)
-
-
-def _conjugacy_class_reps(G, elems):
-    """One representative per G-conjugacy class among elems."""
-    gens = [(g, g.inverse()) for g in G.generators]
-    pool = set(elems)
-    reps = []
-    while pool:
-        start = min(pool)
-        reps.append(start)
-        pool.difference_update(
-            orbit(start, gens, lambda e, gi: gi[1] * e * gi[0]))
-    return reps
-
-
-def minimal_normal_subgroups(G):
-    """Nontrivial normal subgroups containing no smaller ones.
-
-    Scans normal closures of one representative per conjugacy class of
-    prime-order elements (every minimal normal subgroup is the closure of
-    any of its nonidentity elements, and contains elements of prime order).
-    """
-    elems = G.elements()
-    prime_order = [e for e in elems
-                   if not e.is_identity() and _is_prime(e.order())]
-    closures = []
-    for rep in _conjugacy_class_reps(G, prime_order):
-        N = normal_closure(G, [rep])
-        if not any(N == M for M in closures):
-            closures.append(N)
-    minimal = []
-    for N in closures:
-        if not any(M.order < N.order and M.is_subgroup_of(N)
-                   for M in closures):
-            minimal.append(N)
-    minimal.sort(key=lambda M: (M.order, [g.images for g in M.generators]))
-    return minimal
-
-
-def socle(G):
-    """Subgroup generated by all minimal normal subgroups."""
-    gens = []
-    for N in minimal_normal_subgroups(G):
-        gens.extend(N.generators)
-    return PermGroup(G.degree, gens)
 
 
 def _is_prime(n):

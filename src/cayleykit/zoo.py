@@ -12,14 +12,6 @@ from math import gcd
 from .perm import (PermGroup, Permutation, _is_prime, prime_factors,
                    sylow_subgroup)
 
-# |Aut(R2)| for the possible Sylow 2-subgroups of family members, in the
-# order 1, Z2, Z2^2, Z2^3, Z2^4, Z4, Z8, Q8.
-AUT_ORDERS_OF_SYLOW_2 = {
-    "1": 1, "z2": 1, "z2^2": 6, "z2^3": 168, "z2^4": 20160,
-    "z4": 2, "z8": 4, "q8": 24,
-}
-
-
 # The integer parameters of each GroupSpec kind except direct_product, in
 # the order that the constructors and the CLI's name syntax take them.
 SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "z4": (),
@@ -164,11 +156,6 @@ class GroupSpec:
         if k == "frobenius":
             return p["p"] * p["n"]
         raise AssertionError
-
-    def is_abelian(self):
-        gens = self.generator_labels()
-        return all(self.mult(a, b) == self.mult(b, a)
-                   for a in gens for b in gens)
 
     # -- element arithmetic on labels --------------------------------------
 
@@ -387,21 +374,6 @@ def zsigmondy_ppd(a, k):
     if N > 1 and all(m % N for m in lower):
         return N
     return None
-
-
-def ci_order_condition(n):
-    """gcd(n, phi(n)) == 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    phi = 1
-    last = None
-    for q in prime_factors(n):
-        if q == last:
-            phi *= q
-        else:
-            phi *= q - 1
-        last = q
-    return gcd(n, phi) == 1
 
 
 def _odd_part(n):

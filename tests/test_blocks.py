@@ -1,11 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit.blocks import (BlockSystem, action_on_blocks,
                               all_block_systems, all_minimal_block_systems,
                               block_restriction, classify_block_system,
                               fix_blocks, minimal_block_containing,
-                              orbit_block_system, pullback_system,
-                              quotient_system, refines, verify_tower)
+                              pullback_system, refines, verify_tower)
 from cayleykit.perm import PermGroup, Permutation
 from cayleykit.repro import invariant_partition_scan
 from cayleykit.zoo import GroupSpec, regular_representation
@@ -89,7 +89,8 @@ class TestRefinement:
     def test_quotient_and_pullback_inverse(self):
         fine = BlockSystem(12, [[i, i + 6] for i in range(6)])
         coarse = BlockSystem(12, [[i, i + 3, i + 6, i + 9] for i in range(3)])
-        q = quotient_system(coarse, fine)
+        # the coarse cells, as sets of fine-cell indices
+        q = BlockSystem(6, [[0, 3], [1, 4], [2, 5]])
         assert pullback_system(q, fine) == coarse
 
 
@@ -134,11 +135,6 @@ class TestFixAndAction:
             q = act.image(g)
             lift = act.preimage(q)
             assert act.image(lift) == q
-
-    def test_orbit_block_system(self):
-        G = cyc(6)
-        N = PermGroup(6, [Permutation([2, 3, 4, 5, 0, 1])])
-        assert orbit_block_system(G, N).block_size == 3
 
     def test_block_restriction(self):
         G = cyc(6)
@@ -189,3 +185,18 @@ class TestClassifyAndTower:
              BlockSystem(12, [[i, i + 6] for i in range(6)])]
         res = verify_tower(G, t)
         assert not res["m_step"] and res["broken_at"] == 1
+
+
+@st.composite
+def transitive_groups(draw):
+    """An n-cycle plus up to two random permutations, n <= 8."""
+    n = draw(st.integers(1, 8))
+    cycle = Permutation([(x + 1) % n for x in range(n)])
+    extra = draw(st.lists(st.permutations(list(range(n))), max_size=2))
+    return PermGroup(n, [cycle] + [Permutation(p) for p in extra])
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_block_systems_match_partition_scan(G):
+    assert all_block_systems(G) == invariant_partition_scan(G)

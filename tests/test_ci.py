@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -9,29 +8,17 @@ from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
                           are_conjugate_subgroups, babai_check,
                           block_tower_search, canonical_ratio_patterns,
                           holomorph_witness, partition_transporter,
-                          regular_subgroups, semiregular_classes,
-                          support_decomposition)
+                          regular_subgroups)
 from cayleykit.closures import k_closure
 from cayleykit.perm import (PermGroup, Permutation, pointwise_stabilizer,
                             sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
-from cayleykit.zoo import GroupSpec, cor2_groups, inner_holomorph, \
-    regular_representation
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
-                        "fixtures")
+from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
 
 
 def regular(spec):
     return regular_representation(spec, "left").group
-
-
-def load_m12():
-    with open(os.path.join(FIXTURES, "m12.json")) as fh:
-        data = json.load(fh)
-    return PermGroup(data["degree"],
-                     [Permutation(im) for im in data["generators"]])
 
 
 class TestConjugacy:
@@ -253,47 +240,3 @@ class TestTowerSearch:
         data = res.to_json()
         assert data["ratios"] == [3, 2, 2]
         assert len(data["tower"]) == 4
-
-
-class TestSemiregularClasses:
-    def test_a5(self):
-        A5 = PermGroup(5, [Permutation([1, 2, 0, 3, 4]),
-                           Permutation([1, 2, 3, 4, 0])])
-        assert semiregular_classes(A5, 5) == 1
-
-    def test_a6(self):
-        A6 = PermGroup(6, [Permutation([1, 2, 0, 3, 4, 5]),
-                           Permutation([0, 2, 3, 4, 5, 1])])
-        assert A6.order == 360
-        assert semiregular_classes(A6, 3) == 1
-
-    def test_m12_fixture(self):
-        M12 = load_m12()
-        assert M12.order == 95040
-        assert semiregular_classes(M12, 3) == 1
-
-    def test_no_semiregular(self):
-        assert semiregular_classes(PermGroup.symmetric(4), 3) == 0
-
-
-class TestSupportDecomposition:
-    def build_pair(self):
-        A5 = PermGroup(5, [Permutation([1, 2, 0, 3, 4]),
-                           Permutation([1, 2, 3, 4, 0])])
-        left = [Permutation(list(g.images) + list(range(5, 10)))
-                for g in A5.generators]
-        right = [Permutation(list(range(5)) + [5 + x for x in g.images])
-                 for g in A5.generators]
-        return PermGroup(10, left + right)
-
-    def test_two_factors(self):
-        N = self.build_pair()
-        bs = BlockSystem(10, [range(5), range(5, 10)])
-        assert support_decomposition(N, bs) == [
-            (0, 1, 2, 3, 4), (5, 6, 7, 8, 9)]
-
-    def test_abelian_rejected(self):
-        N = regular(GroupSpec.cyclic(6))
-        bs = BlockSystem(6, [[0, 2, 4], [1, 3, 5]])
-        with pytest.raises(ValueError):
-            support_decomposition(N, bs)

@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit.cli import main, parse_spec
-from cayleykit.zoo import GroupSpec
+from cayleykit.perm import PermGroup
+from cayleykit.zoo import SPEC_PARAMS, GroupSpec
+
+M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
+                   "fixtures", "m12.json")
+
+# JSON arrays nested deeper than the interpreter's recursion limit
+DEEP = "[" * 3000 + "]" * 3000
 
 
 def run(capsys, *argv):
@@ -99,6 +110,11 @@ class TestConstruct:
                                     "zn_semidirect_y(0,2,1)")
         assert code == 2 and "odd" in payload["error"]
 
+    def test_over_deep_json_is_usage_error(self, capsys):
+        spec = '{"kind": "direct_product", "factors": %s}' % DEEP
+        code, payload = usage_error(capsys, "construct", "--spec", spec)
+        assert code == 2 and "recursion" in payload["error"]
+
 
 class TestClosure:
     def test_prime_cycle_2_closed(self, capsys):
@@ -140,6 +156,23 @@ class TestClosure:
             path.write_text(bad)
             code, _ = usage_error(capsys, "closure", "--fixture", str(path))
             assert code == 2
+
+
+    def test_over_deep_fixture_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        code, payload = usage_error(capsys, "closure", "--fixture",
+                                    str(path))
+        assert code == 2 and "recursion" in payload["error"]
+
+    def test_m12_fixture(self, capsys):
+        # the README example: M12 is not 2-closed, its 2-closure is S12
+        with open(M12) as fh:
+            assert PermGroup.from_json(json.load(fh)).order == 95040
+        code, payload = run(capsys, "closure", "--fixture", M12, "--k", "2")
+        assert code == 0
+        assert payload["closure"]["order"] == 479001600
+        assert not payload["is_k_closed"]
 
 
 class TestCiCheck:
@@ -195,3 +228,60 @@ class TestReproduce:
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+# Spec fuzzing.  Every integer stays at 8 or below, and valid specs of order
+# above 256 are skipped: a regular representation of order 2048 alone takes
+# seconds.
+KINDS = sorted(SPEC_PARAMS) + ["direct_product", "nope"]
+KEYS = sorted({name for names in SPEC_PARAMS.values() for name in names}
+              | {"kind", "factors", "x"})
+JUNK = st.one_of(st.booleans(), st.floats(-9, 9), st.text(max_size=3),
+                 st.none(), st.lists(st.integers(-1, 8), max_size=2))
+VALUES = st.one_of(st.integers(-1, 8), st.integers(0, 8), JUNK)
+ARGS = st.lists(st.integers(0, 8), max_size=4).map(
+    lambda xs: "(" + ",".join(map(str, xs)) + ")")
+NAMES = st.builds(lambda k, a: k + a, st.sampled_from(KINDS),
+                  st.one_of(st.just(""), ARGS))
+
+
+@st.composite
+def json_specs(draw, depth=2):
+    """A spec object that is often valid, with keys dropped, added or
+    given values of the wrong type."""
+    kind = draw(st.sampled_from(KINDS))
+    obj = {"kind": kind}
+    for name in SPEC_PARAMS.get(kind, ("factors",)):
+        if name != "factors":
+            obj[name] = draw(VALUES)
+        elif depth and draw(st.booleans()):
+            obj[name] = draw(st.lists(
+                st.one_of(json_specs(depth - 1), JUNK), max_size=3))
+        else:
+            obj[name] = draw(JUNK)
+    if draw(st.booleans()):
+        obj.pop(draw(st.sampled_from(sorted(obj))))
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from(KEYS))] = draw(VALUES)
+    return obj
+
+
+def _size(text):
+    try:
+        return parse_spec(text).size
+    except (ValueError, KeyError):
+        return 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(NAMES, json_specs().map(json.dumps)), st.booleans())
+def test_construct_fuzz(text, holomorph):
+    assume(_size(text) <= 256)
+    argv = ["construct", "--spec", text] + ["--holomorph"] * holomorph
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)
