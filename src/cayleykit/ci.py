@@ -10,16 +10,16 @@ witness pair.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .blocks import (BlockSystem, action_on_blocks, classify_block_system,
                      pullback_system, verify_tower)
 from .closures import DEGREE_BUDGET, is_k_closed
-from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
-                   _is_power_of, _is_prime, orbit, prime_factors,
-                   sylow_subgroup)
+from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
+                   PermGroup, Permutation, _is_power_of, _is_prime,
+                   _unchecked, orbit, prime_factors, sylow_subgroup)
 from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
                   isomorphic_to_spec, regular_representation)
 
@@ -28,7 +28,7 @@ from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
 class CiVerdict:
     """Outcome of the regular-subgroup conjugacy test on one ambient group."""
 
-    status: str  # ci_for_this_structure | not_ci_witness | inconclusive
+    status: str  # ci_for_this_structure | not_ci_witness | no_regular_copy
     witness: Optional[tuple] = None  # pair of nonconjugate regular subgroups
     classes: int = 0
     transcript: list = field(default_factory=list)
@@ -68,14 +68,16 @@ def _element_keys(H):
 def _conjugate_key(key, pair):
     """The element keys of c^-1 H c, for H given by its element keys."""
     c, cinv = pair
-    return frozenset((cinv * Permutation(h) * c).images for h in key)
+    return frozenset((cinv * _unchecked(h) * c).images for h in key)
 
 
 def are_conjugate_subgroups(A, R, T, transcript=None):
     """Some c in A with R^c = T, or None after exhausting a transversal.
 
     The search walks one representative per right coset of the normalizer
-    of R in A; conjugation is constant on those cosets.
+    of R in A; conjugation is constant on those cosets.  A transcript, if
+    given, logs the first TRANSCRIPT_CAP failed representatives and then
+    one {"dropped": k} entry for the k left out.
     """
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_subgroup_of(A):
@@ -91,6 +93,8 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
     norm = [g for g in elems
             if all((g.inverse() * r * g).images in Rkeys for r in rgens)]
     visited = set()
+    found = None
+    tried = 0
     for c in elems:
         if c.images in visited:
             continue
@@ -98,83 +102,94 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
             visited.add((h * c).images)
         cinv = c.inverse()
         if all((cinv * r * c).images in Tkeys for r in rgens):
-            return c
-        if transcript is not None:
+            found = c
+            break
+        if transcript is not None and tried < TRANSCRIPT_CAP:
             transcript.append({"tried": list(c.images), "result": "no"})
-    return None
+        tried += 1
+    if transcript is not None and tried > TRANSCRIPT_CAP:
+        transcript.append({"dropped": tried - TRANSCRIPT_CAP})
+    return found
 
 
 def regular_subgroups(A, spec):
     """Conjugacy class representatives of regular subgroups of A
-    isomorphic to the given abstract group.
+    isomorphic to the given abstract group, in depth-first discovery order.
 
-    A regular subgroup is reconstructed point by point: it contains
-    exactly one element sending the base point 0 to each point y, and the
-    assignment is forced once chosen, so depth-first search with closure
-    propagation visits every regular subgroup exactly once.
+    A regular subgroup holds exactly one element sending the base point 0
+    to each point y, so it is stored as a map y -> element.  The search
+    picks, for the least point y not yet reached, each element of A with
+    g(0) = y whose order occurs in the group, and adds it to the chosen
+    generators.  A subgroup is the closure of its generators under right
+    multiplication, so the closure grows incrementally: every old element
+    times the new generator, then every new element times every
+    generator, until nothing new appears.  Two elements with one image
+    of 0, or more elements of some order than the group has, end the
+    branch.  Each complete assignment is a subgroup, keyed by its element
+    set.  Only a key outside the conjugacy classes already decided gets a
+    stabilizer chain and the isomorphism test; its class is then decided.
     """
     n = A.degree
     if n != spec.size:
         raise ValueError("degree of A must equal the order of the spec")
-    elems = A.elements()
     hist = spec.order_histogram()
+    orders = {}
     by_image = {y: [] for y in range(n)}
-    for g in elems:
-        o = g.order()
+    for g in A.elements():
+        o = orders[g.images] = g.order()
         if hist.get(o, 0) > 0:
             by_image[g(0)].append(g)
-    identity = Permutation.identity(n)
+    conj_gens = [(g, g.inverse()) for g in A.generators]
+    reps = []
+    seen_conjugates = set()
 
-    def close(assigned):
-        """Propagate products; None on a regularity or histogram conflict."""
-        while True:
-            items = list(assigned.values())
-            grew = False
-            for a in items:
-                for b in items:
-                    p = a * b
-                    w = p(0)
-                    cur = assigned.get(w)
-                    if cur is None:
-                        if hist.get(p.order(), 0) == 0:
-                            return None
-                        assigned[w] = p
-                        grew = True
-                    elif cur != p:
-                        return None
-            if not grew:
-                break
-        counts = Counter(g.order() for g in assigned.values())
-        if any(counts[o] > hist.get(o, 0) for o in counts):
-            return None
-        return assigned
+    def extend(assigned, counts, gens, g):
+        """The closure of assigned (closed under gens) with g added, and
+        its order counts; None on a regularity or histogram conflict."""
+        old = list(assigned.values())
+        assigned = dict(assigned)
+        counts = dict(counts)
+        gens = gens + (g,)
+        new = []
+        # the second part reads new while the loop below appends to it
+        products = itertools.chain((h * g for h in old),
+                                   (x * s for x in new for s in gens))
+        for p in products:
+            w = p.images[0]
+            cur = assigned.get(w)
+            if cur is None:
+                o = orders[p.images]
+                c = counts.get(o, 0) + 1
+                if c > hist.get(o, 0):
+                    return None
+                counts[o] = c
+                assigned[w] = p
+                new.append(p)
+            elif cur.images != p.images:
+                return None
+        return assigned, counts, gens
 
-    found = []
+    def leaf(assigned):
+        key = frozenset(g.images for g in assigned.values())
+        if key in seen_conjugates:
+            return
+        H = PermGroup(n, list(assigned.values()))
+        if isomorphic_to_spec(H, spec):
+            reps.append(H)
+        # conjugates of a rejected subgroup are rejected too
+        seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 
-    def dfs(assigned):
+    def dfs(assigned, counts, gens):
         if len(assigned) == n:
-            found.append(PermGroup(n, list(assigned.values())))
+            leaf(assigned)
             return
         y = min(x for x in range(n) if x not in assigned)
         for g in by_image[y]:
-            trial = dict(assigned)
-            trial[y] = g
-            if close(trial) is not None:
-                dfs(trial)
+            grown = extend(assigned, counts, gens, g)
+            if grown is not None:
+                dfs(*grown)
 
-    dfs({0: identity})
-
-    gens = [(g, g.inverse()) for g in A.generators]
-    reps = []
-    seen_conjugates = set()
-    for H in found:
-        key = _element_keys(H)
-        if key in seen_conjugates:
-            continue
-        if not isomorphic_to_spec(H, spec):
-            continue
-        reps.append(H)
-        seen_conjugates.update(orbit(key, gens, _conjugate_key))
+    dfs({0: Permutation.identity(n)}, {1: 1}, ())
     return reps
 
 
@@ -185,7 +200,8 @@ def babai_check(A, spec):
     reps = regular_subgroups(A, spec)
     transcript.append({"event": "regular_subgroup_classes", "count": len(reps)})
     if not reps:
-        return CiVerdict("inconclusive", None, 0, transcript)
+        # the search is exhaustive, so no class means no copy at all
+        return CiVerdict("no_regular_copy", None, 0, transcript)
     if len(reps) == 1:
         return CiVerdict("ci_for_this_structure", None, 1, transcript)
     transcript.append({"event": "witness_pair",
@@ -316,7 +332,7 @@ def _normal_small_subgroups(G, orders):
 
 
 def _is_normal_by_keys(G, keys):
-    elems = [Permutation(im) for im in keys]
+    elems = [_unchecked(im) for im in keys]
     for g in G.generators:
         ginv = g.inverse()
         for h in elems:
@@ -477,7 +493,9 @@ def block_tower_search(R, T):
     if c is None:
         return {"status": "failure", "transcript": transcript}
     n = R.degree
-    full = [BlockSystem.singletons(n)] + tower + [BlockSystem.one_block(n)]
+    full = [BlockSystem.singletons(n)] + tower
+    if n > 1:  # on one point the singletons are already the one block
+        full.append(BlockSystem.one_block(n))
     joint = PermGroup(n, list(R.generators)
                       + [g for g in T.conjugate(c).generators])
     check = verify_tower(joint, full)

@@ -10,6 +10,8 @@ from math import gcd
 
 # Operations that touch every group element refuse groups larger than this.
 BRUTE_FORCE_CAP = 10**6
+# A search transcript logs at most this many tries and counts the rest.
+TRANSCRIPT_CAP = 100
 
 
 class CapExceededError(RuntimeError):

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit.blocks import BlockSystem, classify_block_system
 from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
@@ -10,8 +12,8 @@ from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
                           holomorph_witness, partition_transporter,
                           regular_subgroups)
 from cayleykit.closures import k_closure
-from cayleykit.perm import (PermGroup, Permutation, pointwise_stabilizer,
-                            sylow_subgroup)
+from cayleykit.perm import (TRANSCRIPT_CAP, PermGroup, Permutation,
+                            pointwise_stabilizer, sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
 from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
@@ -49,7 +51,20 @@ class TestConjugacy:
         R = regular_representation(spec, "right").group
         transcript = []
         assert are_conjugate_subgroups(A, L, R, transcript=transcript) is None
-        assert transcript  # every tried representative is logged
+        assert transcript  # the tried representatives are logged
+
+    def test_transcript_is_bounded(self):
+        # a double and a triple transposition: 105 cosets of the first's
+        # normalizer in S7, none of them a conjugator
+        S7 = PermGroup.symmetric(7)
+        H = PermGroup(7, [Permutation.from_cycles(7, [(0, 1), (2, 3)])])
+        K = PermGroup(7, [Permutation.from_cycles(7, [(0, 1), (2, 3),
+                                                      (4, 5)])])
+        transcript = []
+        assert are_conjugate_subgroups(S7, H, K, transcript=transcript) \
+            is None
+        assert len(transcript) == TRANSCRIPT_CAP + 1
+        assert transcript[-1] == {"dropped": 105 - TRANSCRIPT_CAP}
 
     def test_membership_checked(self):
         S4 = PermGroup.symmetric(4)
@@ -93,6 +108,85 @@ class TestRegularSubgroups:
         with pytest.raises(ValueError):
             regular_subgroups(PermGroup.symmetric(4), GroupSpec.cyclic(5))
 
+    def test_c2_x_d4_row_is_pinned(self):
+        # a non-Frobenius 3-closure where histogram pruning does the work;
+        # the representatives, and so the search order, must not change
+        spec = GroupSpec.direct_product([GroupSpec.cyclic(2),
+                                         GroupSpec.dihedral(4)])
+        A = k_closure(inner_holomorph(spec), 3)
+        reps = regular_subgroups(A, spec)
+        assert A.order == 128 and len(reps) == 15
+        gens = [[g.to_json() for g in H.generators] for H in reps]
+        digest = hashlib.sha256(json.dumps(gens).encode()).hexdigest()
+        assert digest == ("7dc0720d0a68a798586f4020459ff690"
+                          "b05b2749123dc29b2b3bf12bc6b16299")
+
+
+SMALL_SPECS = [GroupSpec.cyclic(4), GroupSpec.elementary_abelian_2(2),
+               GroupSpec.cyclic(6), GroupSpec.dihedral(3),
+               GroupSpec.cyclic(8), GroupSpec.dihedral(4), GroupSpec.q8(),
+               GroupSpec.direct_product([GroupSpec.cyclic(2),
+                                         GroupSpec.cyclic(4)]),
+               GroupSpec.elementary_abelian_2(3)]
+# the oracle grows the whole subgroup lattice: about a second per ambient
+# of order 24, a minute for the order-64 holomorph of dihedral(4)
+ORACLE_AMBIENT_ORDER = 24
+
+
+def automorphism_images(spec):
+    """Aut(spec) as label maps, found from the generator images that
+    extend to a bijective homomorphism."""
+    n = spec.size
+    gens = spec.generator_labels()
+    out = []
+    for imgs in itertools.product(range(n), repeat=len(gens)):
+        phi = {0: 0}
+        todo = [0]
+        for x in todo:
+            for g, im in zip(gens, imgs):
+                y, fy = spec.mult(g, x), spec.mult(im, phi[x])
+                if y not in phi:
+                    phi[y] = fy
+                    todo.append(y)
+        if len(set(phi.values())) == n and all(
+                phi[spec.mult(a, b)] == spec.mult(phi[a], phi[b])
+                for a in range(n) for b in range(n)):
+            out.append([phi[x] for x in range(n)])
+    return out
+
+
+@st.composite
+def small_ambients(draw):
+    """A regular copy of a small spec plus one to three random elements,
+    each of S_n or of the spec's holomorph, all relabeled by a random
+    permutation."""
+    spec = draw(st.sampled_from(SMALL_SPECS))
+    n = spec.size
+    auts = automorphism_images(spec)
+    extra = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            extra.append(Permutation(draw(st.permutations(range(n)))))
+            continue
+        r = draw(st.integers(0, n - 1))
+        a = draw(st.sampled_from(auts))
+        extra.append(Permutation([spec.mult(r, a[x]) for x in range(n)]))
+    c = Permutation(draw(st.permutations(range(n))))
+    cinv = c.inverse()
+    gens = list(regular(spec).generators) + extra
+    return PermGroup(n, [cinv * g * c for g in gens]), spec
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ambients())
+def test_regular_subgroups_match_oracle(case):
+    A, spec = case
+    assume(A.order <= ORACLE_AMBIENT_ORDER)
+    reps = regular_subgroups(A, spec)
+    assert len(reps) == len(regular_class_scan(A, [spec])[0])
+    for H, K in itertools.combinations(reps, 2):
+        assert are_conjugate_subgroups(A, H, K) is None
+
 
 class TestBabaiCheck:
     def test_ci_for_structure(self):
@@ -108,10 +202,10 @@ class TestBabaiCheck:
         first, second = v.witness
         assert are_conjugate_subgroups(A, first, second) is None
 
-    def test_inconclusive(self):
-        # a spec with no regular copy at all
+    def test_no_regular_copy(self):
+        # a spec with no regular copy at all; the search is exhaustive
         v = babai_check(regular(GroupSpec.cyclic(8)), GroupSpec.q8())
-        assert v.status == "inconclusive" and v.classes == 0
+        assert v.status == "no_regular_copy" and v.classes == 0
 
     def test_witness_certificate_is_pinned(self):
         # the regular-subgroup class representatives, and so the witness
@@ -124,8 +218,8 @@ class TestBabaiCheck:
                           "24ff07e592d90712beae14ad9b70383a")
 
     def test_json(self):
-        v = CiVerdict("inconclusive", None, 0, [])
-        assert v.to_json()["status"] == "inconclusive"
+        v = CiVerdict("no_regular_copy", None, 0, [])
+        assert v.to_json()["status"] == "no_regular_copy"
 
 
 class TestHolomorphWitness:

@@ -189,6 +189,17 @@ class TestCiCheck:
         assert payload["verdict"]["status"] == "not_ci_witness"
         assert payload["verdict"]["classes"] == 2
 
+    def test_no_regular_copy_passes(self, capsys, tmp_path):
+        # S2 on 4 points is not even transitive
+        path = tmp_path / "s2.json"
+        path.write_text(json.dumps({"degree": 4,
+                                    "generators": [[1, 0, 2, 3]]}))
+        code, payload = run(capsys, "ci-check", "--fixture", str(path),
+                            "--target-spec", "cyclic(4)")
+        assert code == 0
+        assert payload["verdict"]["status"] == "no_regular_copy"
+        assert payload["verdict"]["classes"] == 0
+
 
 class TestTower:
     def test_same_group(self, capsys, tmp_path):
@@ -197,6 +208,14 @@ class TestTower:
         code, payload = run(capsys, "tower", p1, p2)
         assert code == 0
         assert payload["ratios"] == [3, 2, 2]
+
+    def test_degree_one(self, capsys, tmp_path):
+        path = tmp_path / "trivial.json"
+        path.write_text(json.dumps({"degree": 1, "generators": []}))
+        code, payload = run(capsys, "tower", str(path), str(path))
+        assert code == 0
+        assert payload["ratios"] == []
+        assert payload["tower"] == [{"degree": 1, "blocks": [[0]]}]
 
     def test_outside_family_is_usage_error(self, capsys, tmp_path):
         p = write_group_file(tmp_path, "z9.json", GroupSpec.cyclic(9))
