@@ -21,7 +21,7 @@ from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _is_power_of, _is_prime,
                    _unchecked, orbit, prime_factors, sylow_subgroup)
 from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
-                  isomorphic_to_spec, regular_representation)
+                  regular_representation, spec_isomorphism_test)
 
 
 @dataclass
@@ -140,6 +140,7 @@ def regular_subgroups(A, spec):
         if hist.get(o, 0) > 0:
             by_image[g(0)].append(g)
     conj_gens = [(g, g.inverse()) for g in A.generators]
+    is_spec = spec_isomorphism_test(spec)
     reps = []
     seen_conjugates = set()
 
@@ -174,7 +175,7 @@ def regular_subgroups(A, spec):
         if key in seen_conjugates:
             return
         H = PermGroup(n, list(assigned.values()))
-        if isomorphic_to_spec(H, spec):
+        if is_spec(H):
             reps.append(H)
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))

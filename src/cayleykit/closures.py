@@ -257,10 +257,37 @@ def is_k_closed(G, k):
 
 
 def brute_force_automorphisms(S):
-    """Filter all n! permutations; oracle for small degrees."""
+    """Filter all n! permutations; oracle for small degrees.
+
+    The group is built from the automorphisms, in filter order, that are
+    not in the closure of those kept before them: at most log2 of the
+    order many generators.  The closure must hold exactly the automorphisms
+    found, or RuntimeError is raised.
+    """
     n = S.degree
     if n > 8:
         raise ValueError("brute force oracle limited to degree 8")
-    gens = [p for p in map(Permutation, itertools.permutations(range(n)))
-            if is_automorphism(S, p)]
-    return PermGroup(n, gens)
+    found = [p for p in map(Permutation, itertools.permutations(range(n)))
+             if is_automorphism(S, p)]
+    gens = []
+    closure = [tuple(range(n))]
+    seen = set(closure)
+    for p in found:
+        if p.images in seen:
+            continue
+        # grow the closure by right multiplication: every old element
+        # times p, then every new element times every kept generator
+        last = [p.images]
+        gens += last
+        old = len(closure)
+        for i, a in enumerate(closure):
+            for b in (last if i < old else gens):
+                c = tuple([a[x] for x in b])
+                if c not in seen:
+                    seen.add(c)
+                    closure.append(c)
+    if len(closure) != len(found):
+        raise RuntimeError(
+            f"{len(found)} automorphisms found, but they generate "
+            f"{len(closure)} permutations")
+    return PermGroup(n, [Permutation(g) for g in gens])

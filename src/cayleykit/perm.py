@@ -504,19 +504,3 @@ def element_mapping_points(G, sources, targets):
     chain = _Chain(G.degree, G.generators, base_hint=tuple(sources))
     return chain.element_with_base_images(list(targets))
 
-
-def closure_of_subset(degree, elems):
-    """Multiplicative closure of a set of permutations, as a set."""
-    elems = set(elems)
-    elems.add(Permutation.identity(degree))
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(elems):
-                for c in (a * b, b * a):
-                    if c not in elems:
-                        elems.add(c)
-                        new.append(c)
-        frontier = new
-    return elems

@@ -19,12 +19,11 @@ from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
 from .ci import (TowerResult, are_conjugate_subgroups, block_tower_search,
                  canonical_ratio_patterns, regular_subgroups)
 from .closures import brute_force_automorphisms, k_closure, orbit_coloring
-from .perm import PermGroup, Permutation, closure_of_subset, is_normal_in, \
-    sylow_subgroup
+from .perm import PermGroup, Permutation, is_normal_in, sylow_subgroup
 from .ci import holomorph_witness
 from .zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
-                  group_in_family_R, inner_holomorph, isomorphic_to_spec,
-                  regular_representation, zsigmondy_ppd)
+                  group_in_family_R, inner_holomorph, regular_representation,
+                  spec_isomorphism_test, zsigmondy_ppd)
 
 
 # ---------------------------------------------------------------- oracles
@@ -59,26 +58,56 @@ def _equal_partitions(points, size):
 
 
 def all_subgroups(A):
-    """The full subgroup lattice of a small group, as element-key sets."""
-    elems = A.elements(ORACLE_CAP)
-    n = A.degree
-    ident = Permutation.identity(n)
-    subgroups = {frozenset([ident.images])}
-    frontier = [frozenset([ident.images])]
+    """The full subgroup lattice of a small group, as element-key sets.
+
+    A's elements are indexed once, and products are looked up in an integer
+    table whose rows are filled on first use.  Starting from the trivial
+    group, every subgroup H found so far is extended by one g from each
+    right coset Hg other than H itself (<H, hg> = <H, g>); <H, g> is grown
+    by breadth-first search from the identity, multiplying on the right by
+    H's recorded generators and g.  Every subgroup is a chain of such
+    one-generator extensions of the trivial group, so the lattice is
+    complete.
+    """
+    elems = [g.images for g in A.elements(ORACLE_CAP)]
+    index = {im: i for i, im in enumerate(elems)}
+    rows = [None] * len(elems)
+
+    def row(i):
+        if rows[i] is None:
+            a = elems[i]
+            rows[i] = [index[tuple([a[x] for x in b])] for b in elems]
+        return rows[i]
+
+    ident = index[tuple(range(A.degree))]
+    trivial = frozenset([ident])
+    gens_of = {trivial: []}
+    frontier = [trivial]
     while frontier:
         new = []
-        for key in frontier:
-            members = [Permutation(im) for im in key]
-            for g in elems:
-                if g.images in key:
+        for H in frontier:
+            gens = gens_of[H]
+            covered = set(H)
+            for g in range(len(elems)):
+                if g in covered:
                     continue
-                grown = closure_of_subset(n, members + [g])
-                gkey = frozenset(p.images for p in grown)
-                if gkey not in subgroups:
-                    subgroups.add(gkey)
-                    new.append(gkey)
+                covered.update(row(h)[g] for h in H)
+                step = gens + [g]
+                grown = [ident]
+                seen = {ident}
+                for x in grown:
+                    r = row(x)
+                    for s in step:
+                        y = r[s]
+                        if y not in seen:
+                            seen.add(y)
+                            grown.append(y)
+                K = frozenset(grown)
+                if K not in gens_of:
+                    gens_of[K] = step
+                    new.append(K)
         frontier = new
-    return subgroups
+    return {frozenset(elems[i] for i in K) for K in gens_of}
 
 
 def regular_class_scan(A, specs):
@@ -89,16 +118,14 @@ def regular_class_scan(A, specs):
     """
     n = A.degree
     elems = A.elements(ORACLE_CAP)
-    regular = []
-    for key in all_subgroups(A):
-        if len(key) != n:
-            continue
-        H = PermGroup(n, [Permutation(im) for im in key])
-        if H.is_regular():
-            regular.append((key, H))
+    # a subgroup of order n is regular iff it moves 0 to every point
+    regular = [(key, PermGroup(n, [Permutation(im) for im in key]))
+               for key in all_subgroups(A)
+               if len(key) == n and len({im[0] for im in key}) == n]
     out = []
     for spec in specs:
-        hits = [key for key, H in regular if isomorphic_to_spec(H, spec)]
+        is_spec = spec_isomorphism_test(spec)
+        hits = [key for key, H in regular if is_spec(H)]
         classes = []
         placed = set()
         for key in sorted(hits, key=sorted):

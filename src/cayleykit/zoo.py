@@ -475,10 +475,13 @@ def isomorphic_to_spec(H, spec):
     Cheap invariants first (order histogram, center and derived-subgroup
     sizes), then a backtrack generator-mapping search.
     """
-    if H.order != spec.size:
-        return False
-    R = regular_representation(spec, "left").group
-    return isomorphic_groups(H, R)
+    return H.order == spec.size and spec_isomorphism_test(spec)(H)
+
+
+def spec_isomorphism_test(spec):
+    """The test H -> isomorphic_to_spec(H, spec), with the spec's regular
+    group and its invariants built once for many calls."""
+    return isomorphism_test(regular_representation(spec, "left").group)
 
 
 def _group_fingerprint(G, elems):
@@ -503,25 +506,37 @@ def _derived_size(G, elems, elemset):
 
 def isomorphic_groups(A, B):
     """Backtrack isomorphism test between two small groups."""
-    if A.order != B.order:
-        return False
-    ea, eb = A.elements(), B.elements()
-    if _group_fingerprint(A, ea) != _group_fingerprint(B, eb):
-        return False
-    gens = _small_generating_sequence(A, ea)
+    return A.order == B.order and isomorphism_test(B)(A)
+
+
+def isomorphism_test(B):
+    """The test A -> isomorphic_groups(A, B), with B's elements and
+    fingerprint computed once for many calls."""
+    eb = B.elements()
+    fingerprint = _group_fingerprint(B, eb)
     by_order = {}
     for g in eb:
         by_order.setdefault(g.order(), []).append(g)
 
-    def extend(i, images):
-        if i == len(gens):
-            return _is_isomorphism(A, B, gens, images, ea)
-        for cand in by_order.get(gens[i].order(), []):
-            if extend(i + 1, images + [cand]):
-                return True
-        return False
+    def test(A):
+        if A.order != B.order:
+            return False
+        ea = A.elements()
+        if _group_fingerprint(A, ea) != fingerprint:
+            return False
+        gens = _small_generating_sequence(A, ea)
 
-    return extend(0, [])
+        def extend(i, images):
+            if i == len(gens):
+                return _is_isomorphism(A, B, gens, images, ea)
+            for cand in by_order.get(gens[i].order(), []):
+                if extend(i + 1, images + [cand]):
+                    return True
+            return False
+
+        return extend(0, [])
+
+    return test
 
 
 def _small_generating_sequence(G, elems):

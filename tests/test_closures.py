@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleykit import closures
 from cayleykit.closures import (DEGREE_BUDGET, BudgetExceededError,
                                 ColoredStructure, _point_invariants,
                                 _tuple_action_table, automorphisms,
@@ -201,6 +202,22 @@ class TestAutomorphisms:
                 S = orbit_coloring(G, k)
                 assert automorphisms(S).order \
                     == brute_force_automorphisms(S).order
+
+    def test_brute_force_keeps_few_generators(self):
+        # every permutation preserves a one-color coloring, so Aut is S7
+        B = brute_force_automorphisms(ColoredStructure(7, 1, [0] * 7))
+        assert B.order == 5040
+        assert len(B.generators) <= 12
+
+    def test_brute_force_raises_when_the_filter_is_not_a_group(
+            self, monkeypatch):
+        # a filter that keeps the identity and one 3-cycle but not its
+        # square: the kept generator closes to three permutations, not two
+        keep = {(0, 1, 2, 3), (1, 2, 0, 3)}
+        monkeypatch.setattr(closures, "is_automorphism",
+                            lambda S, p: p.images in keep)
+        with pytest.raises(RuntimeError, match="generate 3"):
+            brute_force_automorphisms(ColoredStructure(4, 1, [0] * 4))
 
     def test_elements_are_automorphisms(self):
         S = orbit_coloring(regular(GroupSpec.q8()), 2)

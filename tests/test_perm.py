@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 import cayleykit
 from cayleykit.cli import build_parser
 from cayleykit.perm import (CapExceededError, PermGroup, Permutation,
-                            closure_of_subset, element_mapping_points,
-                            is_normal_in, normalizer, orbit,
-                            pointwise_stabilizer, prime_factors,
+                            element_mapping_points, is_normal_in, normalizer,
+                            orbit, pointwise_stabilizer, prime_factors,
                             sylow_subgroup)
 
 
@@ -155,10 +154,6 @@ class TestSubgroupMachinery:
         V = PermGroup(4, [perm((0, 1), (2, 3), n=4)])
         P = sylow_subgroup(S4, 2, containing=V)
         assert P.order == 8 and V.is_subgroup_of(P)
-
-    def test_closure_of_subset(self):
-        elems = closure_of_subset(3, [Permutation([1, 0, 2])])
-        assert len(elems) == 2
 
 
 def test_public_surface_has_no_limit_parameters():
