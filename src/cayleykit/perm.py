@@ -345,6 +345,17 @@ class PermGroup:
                 f"group order {self.order} exceeds cap {cap}")
         return list(self._chain.elements())
 
+    def element_at(self, i):
+        """elements()[i] without listing the elements: i in mixed radix
+        over the sorted transversal keys, the last level least significant."""
+        if not 0 <= i < self.order:
+            raise IndexError(f"element index {i} out of range")
+        g = self._chain.identity
+        for t in reversed(self._chain.transversals):
+            i, d = divmod(i, len(t))
+            g = t[sorted(t)[d]] * g
+        return g
+
     def orbit(self, x):
         return sorted(orbit(x, self.generators, lambda y, g: g(y)))
 

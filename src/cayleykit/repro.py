@@ -332,13 +332,12 @@ def dic3_partition_stabilizer():
 def claim_tower_dic3(seed=20210921):
     samples = 20
     R, W = dic3_partition_stabilizer()
-    elems = W.elements()
     rng = random.Random(seed)
     patterns = canonical_ratio_patterns(R.order)
     rows = []
     ok = True
     for _ in range(samples):
-        c = elems[rng.randrange(len(elems))]
+        c = W.element_at(rng.randrange(W.order))
         T = R.conjugate(c)
         res = block_tower_search(R, T)
         good = (isinstance(res, TowerResult)

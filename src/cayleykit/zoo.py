@@ -1,13 +1,37 @@
 """Constructors for the concrete groups the library works with.
 
 A GroupSpec is a symbolic description of an abstract group together with a
-canonical element labeling (mixed-radix over the defining parameters), so
-regular representations and holomorphs get reproducible point numbering.
+canonical element labeling, so regular representations and holomorphs get
+reproducible point numbering.
+
+Eight kinds are metacyclic and share one product rule, fixed by a row
+(a, b, r, t).  The element (x, i), with x in Z_a and i in Z_b, has label
+x*b + i, and
+
+    (x1, i1)(x2, i2) = (x1 + r^i1*x2 + t*[i1 + i2 >= b] mod a, i1 + i2 mod b).
+
+The generators are the labels b (if a > 1) and 1 (if b > 1).
+
+    kind                          (a, b, r, t)
+    cyclic(n)                     (n, 1, 1, 0)
+    z4, z8                        (4, 1, 1, 0), (8, 1, 1, 0)
+    dihedral(m)                   (m, 2, -1, 0)
+    dicyclic(m), odd m            (m, 4, -1, 0)
+    dicyclic(m), even m           (2m, 2, -1, m)
+    zn_semidirect_y(n, oy, act)   (n, oy, act, 0)
+    frobenius(p, n)               (p, n, omega, 0)
+    q8                            (4, 2, -1, 2)
+
+omega is the smallest primitive n-th root of unity mod p.  For even m,
+dicyclic(m) is the generalized quaternion group <a, x | a^2m = 1,
+x^2 = a^m, x^-1 a x = a^-1> of order 4m, and dicyclic(2) is q8 label for
+label.  elementary_abelian_2(e) multiplies labels by xor; direct_product
+labels are mixed radix over the factors, the first factor most significant.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 
 from .perm import (PermGroup, Permutation, _is_prime, prime_factors,
                    sylow_subgroup)
@@ -22,6 +46,21 @@ SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "z4": (),
 # The largest spec order; regular representations are built eagerly.
 MAX_SPEC_ORDER = 2048
 
+# The row (a, b, r, t) of each metacyclic kind, from its parameters; see the
+# module docstring.  frobenius leaves r (omega) None: omega needs p prime,
+# and _validate reads size before it checks that.
+_METACYCLIC = {
+    "cyclic": lambda p: (p["n"], 1, 1, 0),
+    "z4": lambda p: (4, 1, 1, 0),
+    "z8": lambda p: (8, 1, 1, 0),
+    "dihedral": lambda p: (p["m"], 2, -1, 0),
+    "dicyclic": lambda p: ((p["m"], 4, -1, 0) if p["m"] % 2
+                           else (2 * p["m"], 2, -1, p["m"])),
+    "zn_semidirect_y": lambda p: (p["n"], p["order_of_y"], p["action"], 0),
+    "frobenius": lambda p: (p["p"], p["n"], None, 0),
+    "q8": lambda p: (4, 2, -1, 2),
+}
+
 
 class GroupSpec:
     """Symbolic group with elements 0..|G|-1 and an explicit product rule."""
@@ -30,6 +69,12 @@ class GroupSpec:
         self.kind = kind
         self.params = params
         self._validate()
+        if kind in _METACYCLIC:
+            a, b, r, t = _METACYCLIC[kind](params)
+            if r is None:
+                r = self.omega()
+            # (a, b, [r^i mod a for i in Z_b], t)
+            self._row = (a, b, [pow(r, i, a) for i in range(b)], t)
 
     # -- constructors -----------------------------------------------------
 
@@ -108,10 +153,8 @@ class GroupSpec:
             if p["m"] < 1:
                 raise ValueError("dihedral parameter must be positive")
         elif k == "dicyclic":
-            # realized as Zm x| Z4 with inversion; coincides with the
-            # dicyclic group exactly for odd m
-            if p["m"] < 3 or p["m"] % 2 == 0:
-                raise ValueError("dicyclic(m) requires odd m >= 3")
+            if p["m"] < 2:
+                raise ValueError("dicyclic(m) requires m >= 2")
         elif k == "zn_semidirect_y":
             n, oy = p["n"], p["order_of_y"]
             if n < 1 or n % 2 == 0:
@@ -134,85 +177,33 @@ class GroupSpec:
     @property
     def size(self):
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return p["n"]
         if k == "elementary_abelian_2":
             return 2 ** p["e"]
-        if k == "z4":
-            return 4
-        if k in ("z8", "q8"):
-            return 8
-        if k == "dihedral":
-            return 2 * p["m"]
-        if k == "dicyclic":
-            return 4 * p["m"]
         if k == "direct_product":
-            s = 1
-            for f in p["factors"]:
-                s *= f.size
-            return s
-        if k == "zn_semidirect_y":
-            return p["n"] * p["order_of_y"]
-        if k == "frobenius":
-            return p["p"] * p["n"]
-        raise AssertionError
+            return prod(f.size for f in p["factors"])
+        a, b, _, _ = _METACYCLIC[k](p)
+        return a * b
 
     # -- element arithmetic on labels --------------------------------------
 
     def identity_label(self):
         return 0
 
-    def mult(self, a, b):
+    def mult(self, g, h):
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return (a + b) % p["n"]
         if k == "elementary_abelian_2":
-            return a ^ b
-        if k == "z4":
-            return (a + b) % 4
-        if k == "z8":
-            return (a + b) % 8
-        if k == "q8":
-            # labels encode i^r * j^s as 2*r + s
-            r1, s1 = divmod(a, 2)
-            r2, s2 = divmod(b, 2)
-            r = r1 + (r2 if s1 == 0 else -r2)
-            s = s1 + s2
-            if s >= 2:       # j^2 = i^2
-                s -= 2
-                r += 2
-            return (r % 4) * 2 + s
-        if k == "dihedral":
-            m = p["m"]
-            r1, s1 = divmod(a, 2)
-            r2, s2 = divmod(b, 2)
-            r = (r1 + (r2 if s1 == 0 else -r2)) % m
-            return r * 2 + (s1 + s2) % 2
-        if k == "dicyclic":
-            # Zm x| <y>, o(y)=4, y inverting; labels (x, i) -> 4x + i
-            m = p["m"]
-            x1, i1 = divmod(a, 4)
-            x2, i2 = divmod(b, 4)
-            x = (x1 + (x2 if i1 % 2 == 0 else -x2)) % m
-            return x * 4 + (i1 + i2) % 4
+            return g ^ h
         if k == "direct_product":
-            da, db = self._dp_digits(a), self._dp_digits(b)
+            dg, dh = self._dp_digits(g), self._dp_digits(h)
             return self._dp_label(
-                [f.mult(x, y) for f, x, y in zip(p["factors"], da, db)])
-        if k == "zn_semidirect_y":
-            n, oy, act = p["n"], p["order_of_y"], p["action"] % p["n"]
-            x1, i1 = divmod(a, oy)
-            x2, i2 = divmod(b, oy)
-            x = (x1 + pow(act, i1, n) * x2) % n
-            return x * oy + (i1 + i2) % oy
-        if k == "frobenius":
-            pp, n = p["p"], p["n"]
-            w = self.omega()
-            x1, i1 = divmod(a, n)
-            x2, i2 = divmod(b, n)
-            x = (x1 + pow(w, i1, pp) * x2) % pp
-            return x * n + (i1 + i2) % n
-        raise AssertionError
+                [f.mult(x, y) for f, x, y in zip(p["factors"], dg, dh)])
+        a, b, powers, t = self._row
+        x1, i1 = divmod(g, b)
+        x2, i2 = divmod(h, b)
+        i = i1 + i2
+        if i >= b:
+            return (x1 + powers[i1] * x2 + t) % a * b + i - b
+        return (x1 + powers[i1] * x2) % a * b + i
 
     def inv(self, a):
         e = self.identity_label()
@@ -231,20 +222,8 @@ class GroupSpec:
 
     def generator_labels(self):
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return [1 % p["n"]] if p["n"] > 1 else []
         if k == "elementary_abelian_2":
             return [1 << i for i in range(p["e"])]
-        if k == "z4":
-            return [1]
-        if k == "z8":
-            return [1]
-        if k == "q8":
-            return [2, 1]           # i and j
-        if k == "dihedral":
-            return [2, 1]           # rotation and reflection
-        if k == "dicyclic":
-            return [4, 1]           # x and y
         if k == "direct_product":
             gens = []
             offset = 1
@@ -255,11 +234,8 @@ class GroupSpec:
                     gens.append(g * offset)
                 offset *= sizes[i]
             return sorted(gens)
-        if k == "zn_semidirect_y":
-            return [p["order_of_y"], 1]   # x=(1,0) and y=(0,1)
-        if k == "frobenius":
-            return [p["n"], 1]            # translation and omega-scaling
-        raise AssertionError
+        a, b = self._row[:2]
+        return [b] * (a > 1) + [1] * (b > 1)
 
     def omega(self):
         """Smallest primitive n-th root of unity mod p (frobenius only)."""

@@ -109,6 +109,17 @@ class TestPermGroup:
         with pytest.raises(CapExceededError):
             PermGroup.symmetric(12).elements(1000)
 
+    @pytest.mark.parametrize("G", [
+        PermGroup.symmetric(4),
+        PermGroup(4, [perm((0, 1, 2), n=4), perm((1, 2, 3), n=4)]),
+        PermGroup.trivial(3)], ids=["s4", "a4", "trivial"])
+    def test_element_at_matches_elements(self, G):
+        elems = G.elements()
+        assert [G.element_at(i) for i in range(G.order)] == elems
+        for i in (-1, G.order):
+            with pytest.raises(IndexError):
+                G.element_at(i)
+
     def test_json_roundtrip(self):
         G = PermGroup(4, [perm((0, 1, 2, 3), n=4), perm((0, 1), n=4)])
         H = PermGroup.from_json(G.to_json())

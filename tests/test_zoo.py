@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleykit.perm import _is_prime
 from cayleykit.zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
                            group_in_family_R, in_family_R, inner_holomorph,
                            isomorphic_groups, isomorphic_to_spec,
@@ -11,14 +14,15 @@ from cayleykit.zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
 CORPUS = [GroupSpec.cyclic(7), GroupSpec.cyclic(12),
           GroupSpec.elementary_abelian_2(3), GroupSpec.z4(), GroupSpec.z8(),
           GroupSpec.q8(), GroupSpec.dihedral(4), GroupSpec.dicyclic(3),
-          GroupSpec.direct_product([GroupSpec.cyclic(3), GroupSpec.q8()]),
+          GroupSpec.dicyclic(4), GroupSpec.direct_product([GroupSpec.cyclic(3), GroupSpec.q8()]),
           GroupSpec.zn_semidirect_y(15, 4, 4), GroupSpec.frobenius(5, 4)]
 
 
 class TestGroupSpecValidation:
-    def test_dicyclic_even_rejected(self):
-        with pytest.raises(ValueError):
-            GroupSpec.dicyclic(4)
+    def test_dicyclic_below_two_rejected(self):
+        for m in (0, 1):
+            with pytest.raises(ValueError):
+                GroupSpec.dicyclic(m)
 
     def test_semidirect_trivial_action_rejected(self):
         # a = 1 would put y in the center; must be built as a product instead
@@ -58,6 +62,7 @@ class TestGroupAxioms:
             assert spec.mult(a, spec.inv(a)) == e
 
     @pytest.mark.parametrize("spec", [GroupSpec.q8(), GroupSpec.dicyclic(5),
+                                      GroupSpec.dicyclic(4),
                                       GroupSpec.frobenius(7, 3),
                                       GroupSpec.zn_semidirect_y(3, 8, 2)],
                              ids=lambda s: f"{s.kind}{s.size}")
@@ -74,6 +79,62 @@ class TestGroupAxioms:
         hist = spec.order_histogram()
         assert sum(hist.values()) == 20
         assert hist[2] == 1  # unique involution
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_generalized_quaternion_orders(self, m):
+        hist = GroupSpec.dicyclic(m).order_histogram()
+        assert sum(hist.values()) == 4 * m
+        assert hist[2] == 1
+        assert max(hist) == 2 * m
+
+    def test_dicyclic_2_is_q8(self):
+        d, q = GroupSpec.dicyclic(2), GroupSpec.q8()
+        assert d.generator_labels() == q.generator_labels()
+        assert all(d.mult(a, b) == q.mult(a, b)
+                   for a in range(8) for b in range(8))
+
+
+def spec_grid(max_order=64):
+    """Every kind up to max_order (odd-m dicyclic only), plus C4 x D16."""
+    G = GroupSpec
+    specs = [G.cyclic(n) for n in range(1, max_order + 1)]
+    specs += [G.elementary_abelian_2(e) for e in range(7)]
+    specs += [G.z4(), G.z8(), G.q8()]
+    specs += [G.dihedral(m) for m in range(1, max_order // 2 + 1)]
+    specs += [G.dicyclic(m) for m in range(3, max_order // 4 + 1, 2)]
+    specs += [G.zn_semidirect_y(n, oy, act)
+              for oy in (2, 4, 8) for n in range(3, max_order // oy + 1, 2)
+              for act in range(2, n) if act * act % n == 1]
+    specs += [G.frobenius(p, n)
+              for p in range(2, max_order + 1) if _is_prime(p)
+              for n in range(2, p) if (p - 1) % n == 0 and p * n <= max_order]
+    specs.append(G.direct_product([G.cyclic(4), G.dihedral(8)]))
+    return specs
+
+
+class TestLabelGrid:
+    def test_tables_and_regular_generators_pinned(self):
+        # One digest over each spec's full product table and the
+        # generators of both regular representations.
+        h = hashlib.sha256()
+        for spec in spec_grid():
+            n = spec.size
+            gens = [[list(g.images)
+                     for g in regular_representation(spec, side).group
+                     .generators]
+                    for side in ("left", "right")]
+            table = [[spec.mult(a, b) for b in range(n)] for a in range(n)]
+            h.update(json.dumps([spec.to_json(), table, gens]).encode())
+        assert h.hexdigest() == ("d61121cb311bdca633c9891889946c85"
+                                 "6d9b869da303dfd17abd588bddf55f90")
+
+    def test_generator_labels_in_range(self):
+        extra = [GroupSpec.dicyclic(m) for m in range(2, 17, 2)]
+        extra.append(GroupSpec.direct_product(
+            [GroupSpec.dihedral(1), GroupSpec.cyclic(3)]))
+        for spec in spec_grid() + extra:
+            assert all(0 <= g < spec.size for g in spec.generator_labels()), \
+                spec
 
 
 class TestRegularRepresentations:
