@@ -20,8 +20,8 @@ from .closures import DEGREE_BUDGET, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _is_power_of, _is_prime,
                    _unchecked, orbit, prime_factors, sylow_subgroup)
-from .zoo import (group_in_family_R, inner_holomorph, isomorphic_groups,
-                  regular_representation, spec_isomorphism_test)
+from .zoo import (cayley_table, group_in_family_R, inner_holomorph,
+                  isomorphic_groups, isomorphism_test, regular_representation)
 
 
 @dataclass
@@ -126,8 +126,9 @@ def regular_subgroups(A, spec):
     generator, until nothing new appears.  Two elements with one image
     of 0, or more elements of some order than the group has, end the
     branch.  Each complete assignment is a subgroup, keyed by its element
-    set.  Only a key outside the conjugacy classes already decided gets a
-    stabilizer chain and the isomorphism test; its class is then decided.
+    set.  Only a key outside the conjugacy classes already decided goes
+    to the isomorphism test, on its product table; its class is then
+    decided, and only an accepted key gets a stabilizer chain.
     """
     n = A.degree
     if n != spec.size:
@@ -140,7 +141,8 @@ def regular_subgroups(A, spec):
         if hist.get(o, 0) > 0:
             by_image[g(0)].append(g)
     conj_gens = [(g, g.inverse()) for g in A.generators]
-    is_spec = spec_isomorphism_test(spec)
+    is_spec = isomorphism_test(cayley_table(
+        regular_representation(spec, "left").group))
     reps = []
     seen_conjugates = set()
 
@@ -174,23 +176,24 @@ def regular_subgroups(A, spec):
         key = frozenset(g.images for g in assigned.values())
         if key in seen_conjugates:
             return
-        H = PermGroup(n, list(assigned.values()))
-        if is_spec(H):
-            reps.append(H)
+        if is_spec([assigned[y].images for y in range(n)]):
+            reps.append(PermGroup(n, list(assigned.values())))
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 
-    def dfs(assigned, counts, gens):
+    # An explicit stack, not a recursive closure: a closure that calls
+    # itself is a reference cycle, and it would keep every element of A
+    # alive until the next full garbage collection.  Branches are pushed
+    # in reverse, so they are taken in by_image order.
+    stack = [({0: Permutation.identity(n)}, {1: 1}, ())]
+    while stack:
+        assigned, counts, gens = stack.pop()
         if len(assigned) == n:
             leaf(assigned)
-            return
+            continue
         y = min(x for x in range(n) if x not in assigned)
-        for g in by_image[y]:
-            grown = extend(assigned, counts, gens, g)
-            if grown is not None:
-                dfs(*grown)
-
-    dfs({0: Permutation.identity(n)}, {1: 1}, ())
+        grown = [extend(assigned, counts, gens, g) for g in by_image[y]]
+        stack.extend(s for s in reversed(grown) if s is not None)
     return reps
 
 

@@ -79,7 +79,7 @@ def cmd_construct(args):
 
 
 def cmd_closure(args):
-    if args.fixture:
+    if args.fixture is not None:
         G = _load_group(args.fixture)
         source = {"fixture": args.fixture}
     else:
@@ -95,7 +95,7 @@ def cmd_closure(args):
 
 def cmd_ci_check(args):
     target = parse_spec(args.target_spec)
-    if args.fixture:
+    if args.fixture is not None:
         A = _load_group(args.fixture)
     else:
         A = inner_holomorph(parse_spec(args.spec))
@@ -139,16 +139,20 @@ def build_parser():
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("closure", help="k-closure of a group")
-    p.add_argument("--spec")
-    p.add_argument("--fixture", help="path to a PermGroup JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec")
+    source.add_argument("--fixture", help="path to a PermGroup JSON file")
     p.add_argument("--k", type=int, choices=[1, 2, 3], default=2)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_closure)
 
     p = sub.add_parser("ci-check",
                        help="conjugacy classes of regular subgroups")
-    p.add_argument("--spec", help="ambient = inner holomorph of this spec")
-    p.add_argument("--fixture", help="ambient from a PermGroup JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec",
+                        help="ambient = inner holomorph of this spec")
+    source.add_argument("--fixture",
+                        help="ambient from a PermGroup JSON file")
     p.add_argument("--target-spec", required=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_ci_check)
@@ -174,16 +178,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        if args.command == "closure" and not (args.spec or args.fixture):
-            parser.error("closure needs --spec or --fixture")
-        if args.command == "ci-check" and not (args.spec or args.fixture):
-            parser.error("ci-check needs --spec or --fixture")
         return args.fn(args)
     except (CapExceededError, BudgetExceededError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_BUDGET
-    except SystemExit:
-        return EXIT_USAGE
     except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

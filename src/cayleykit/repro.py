@@ -21,9 +21,10 @@ from .ci import (TowerResult, are_conjugate_subgroups, block_tower_search,
 from .closures import brute_force_automorphisms, k_closure, orbit_coloring
 from .perm import PermGroup, Permutation, is_normal_in, sylow_subgroup
 from .ci import holomorph_witness
-from .zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
-                  group_in_family_R, inner_holomorph, regular_representation,
-                  spec_isomorphism_test, zsigmondy_ppd)
+from .zoo import (GroupSpec, cayley_table, cor2_groups,
+                  frobenius_natural_action, group_in_family_R,
+                  inner_holomorph, isomorphism_test, regular_representation,
+                  zsigmondy_ppd)
 
 
 # ---------------------------------------------------------------- oracles
@@ -118,14 +119,16 @@ def regular_class_scan(A, specs):
     """
     n = A.degree
     elems = A.elements(ORACLE_CAP)
-    # a subgroup of order n is regular iff it moves 0 to every point
-    regular = [(key, PermGroup(n, [Permutation(im) for im in key]))
+    # a subgroup of order n is regular iff it moves 0 to every point; its
+    # product table lists its elements by their image of 0
+    regular = [(key, sorted(key, key=lambda im: im[0]))
                for key in all_subgroups(A)
                if len(key) == n and len({im[0] for im in key}) == n]
     out = []
     for spec in specs:
-        is_spec = spec_isomorphism_test(spec)
-        hits = [key for key, H in regular if is_spec(H)]
+        is_spec = isomorphism_test(cayley_table(
+            regular_representation(spec, "left").group))
+        hits = [key for key, table in regular if is_spec(table)]
         classes = []
         placed = set()
         for key in sorted(hits, key=sorted):

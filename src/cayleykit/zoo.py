@@ -31,9 +31,11 @@ labels are mixed radix over the factors, the first factor most significant.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from math import gcd, prod
 
-from .perm import (PermGroup, Permutation, _is_prime, prime_factors,
+from .perm import (PermGroup, Permutation, _is_prime, orbit, prime_factors,
                    sylow_subgroup)
 
 # The integer parameters of each GroupSpec kind except direct_product, in
@@ -266,7 +268,6 @@ class GroupSpec:
         return out
 
     def order_histogram(self):
-        from collections import Counter
         return Counter(self.element_order(a) for a in range(self.size))
 
     def to_json(self):
@@ -446,109 +447,96 @@ def in_family_R(spec):
 
 
 def isomorphic_to_spec(H, spec):
-    """Abstract isomorphism between a permutation group and a spec.
-
-    Cheap invariants first (order histogram, center and derived-subgroup
-    sizes), then a backtrack generator-mapping search.
-    """
-    return H.order == spec.size and spec_isomorphism_test(spec)(H)
-
-
-def spec_isomorphism_test(spec):
-    """The test H -> isomorphic_to_spec(H, spec), with the spec's regular
-    group and its invariants built once for many calls."""
-    return isomorphism_test(regular_representation(spec, "left").group)
-
-
-def _group_fingerprint(G, elems):
-    from collections import Counter
-    hist = Counter(g.order() for g in elems)
-    elemset = {g.images for g in elems}
-    center = sum(1 for g in elems
-                 if all(g * h == h * g for h in G.generators))
-    derived = _derived_size(G, elems, elemset)
-    return (tuple(sorted(hist.items())), center, derived)
-
-
-def _derived_size(G, elems, elemset):
-    comms = set()
-    for a in G.generators:
-        ainv = a.inverse()
-        for b in elems:
-            comms.add((ainv * b.inverse() * a * b).images)
-    gens = [Permutation(c) for c in comms]
-    return PermGroup(G.degree, gens).order
+    """Abstract isomorphism between a regular permutation group and a spec;
+    a non-regular H raises ValueError."""
+    return isomorphic_groups(H, regular_representation(spec, "left").group)
 
 
 def isomorphic_groups(A, B):
-    """Backtrack isomorphism test between two small groups."""
-    return A.order == B.order and isomorphism_test(B)(A)
+    """Isomorphism of two regular permutation groups, decided on their
+    product tables; a non-regular A or B raises ValueError."""
+    return isomorphism_test(cayley_table(B))(cayley_table(A))
 
 
-def isomorphism_test(B):
-    """The test A -> isomorphic_groups(A, B), with B's elements and
-    fingerprint computed once for many calls."""
-    eb = B.elements()
-    fingerprint = _group_fingerprint(B, eb)
+def cayley_table(G):
+    """The product table of a regular permutation group G.
+
+    Row y is the image tuple of the element g_y with g_y(0) = y.  Since
+    g_y * g_z sends 0 to g_y(z), rows[y][z] is the label of g_y * g_z, and
+    label 0 is the identity.
+    """
+    if not G.is_regular():
+        raise ValueError("a Cayley table needs a regular group")
+    # rows have distinct first entries, so sorting orders them by g_y(0)
+    return sorted(orbit(tuple(range(G.degree)),
+                        [g.images for g in G.generators],
+                        lambda x, s: tuple([x[i] for i in s])))
+
+
+def _table_profile(t):
+    """Element orders, greedy generators, their span in breadth-first
+    order, and the fingerprint (order histogram, center size,
+    derived-subgroup size) of a product table t."""
+    n = len(t)
+
+    def mul(x, s):
+        return t[x][s]
+
+    orders = [len(orbit(0, [x], mul)) for x in range(n)]
+    gens, span = [], [0]
+    for x in sorted(range(n), key=lambda x: (-orders[x], x)):
+        if len(span) == n:
+            break
+        if x not in span:
+            gens.append(x)
+            span = orbit(0, gens, mul)
+    center = sum(all(t[x][g] == t[g][x] for g in gens) for x in range(n))
+    # [a, b] for a generator a and every b spans the derived subgroup:
+    # that span is normal, and a and b commute modulo it
+    inv = [row.index(0) for row in t]
+    comms = {t[t[t[inv[a]][inv[b]]][a]][b] for a in gens for b in range(n)}
+    fingerprint = (tuple(sorted(Counter(orders).items())), center,
+                   len(orbit(0, list(comms), mul)))
+    return orders, gens, span, fingerprint
+
+
+def isomorphism_test(tb):
+    """The test ta -> (is the group with product table ta isomorphic to the
+    group with product table tb?), with tb's invariants computed once for
+    many calls.  Tables come from cayley_table.
+
+    Equal fingerprints are required first.  Then each image of ta's greedy
+    generators among same-order elements of tb is grown into a map over
+    their span, failing on the first conflict; a bijection is accepted.
+    """
+    b_orders, _, _, b_fingerprint = _table_profile(tb)
     by_order = {}
-    for g in eb:
-        by_order.setdefault(g.order(), []).append(g)
+    for y, o in enumerate(b_orders):
+        by_order.setdefault(o, []).append(y)
 
-    def test(A):
-        if A.order != B.order:
-            return False
-        ea = A.elements()
-        if _group_fingerprint(A, ea) != fingerprint:
-            return False
-        gens = _small_generating_sequence(A, ea)
+    def grows(ta, gens, span, images):
+        """The map gens -> images grown over span by right multiplication:
+        False on the first conflict, else whether it is a bijection."""
+        f = {0: 0}
+        pairs = list(zip(gens, images))
+        for x in span:
+            fx = f[x]
+            for g, h in pairs:
+                fy = tb[fx][h]
+                if f.setdefault(ta[x][g], fy) != fy:
+                    return False
+        return len(set(f.values())) == len(ta)
 
-        def extend(i, images):
-            if i == len(gens):
-                return _is_isomorphism(A, B, gens, images, ea)
-            for cand in by_order.get(gens[i].order(), []):
-                if extend(i + 1, images + [cand]):
-                    return True
+    def test(ta):
+        if len(ta) != len(tb):
             return False
-
-        return extend(0, [])
+        orders, gens, span, fingerprint = _table_profile(ta)
+        if fingerprint != b_fingerprint:
+            return False
+        choices = itertools.product(*(by_order[orders[g]] for g in gens))
+        return any(grows(ta, gens, span, images) for images in choices)
 
     return test
-
-
-def _small_generating_sequence(G, elems):
-    gens = []
-    H = PermGroup(G.degree, ())
-    for g in sorted(elems, key=lambda x: (-x.order(), x.images)):
-        if not H.contains(g):
-            gens.append(g)
-            H = PermGroup(G.degree, gens)
-            if H.order == G.order:
-                break
-    return gens
-
-
-def _is_isomorphism(A, B, gens, images, elems_a):
-    """Grow the map multiplicatively from generators; fail on conflict."""
-    fmap = {Permutation.identity(A.degree).images:
-            Permutation.identity(B.degree)}
-    frontier = [Permutation.identity(A.degree)]
-    while frontier:
-        new = []
-        for a in frontier:
-            fa = fmap[a.images]
-            for g, fg in zip(gens, images):
-                prod = a * g
-                fprod = fa * fg
-                if prod.images in fmap:
-                    if fmap[prod.images] != fprod:
-                        return False
-                else:
-                    fmap[prod.images] = fprod
-                    new.append(prod)
-        frontier = new
-    if len(fmap) != A.order:
-        return False  # gens did not generate (should not happen)
-    return len({v.images for v in fmap.values()}) == A.order
 
 
 def cor2_groups(p, n, a, b):

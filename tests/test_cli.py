@@ -128,6 +128,17 @@ class TestClosure:
         code, _ = run(capsys, "closure", "--k", "2")
         assert code == 2
 
+    def test_spec_and_fixture_is_usage_error(self, capsys):
+        # two sources are refused; neither is silently dropped
+        code, payload = run(capsys, "closure", "--spec", "cyclic(4)",
+                            "--fixture", M12, "--k", "1")
+        assert code == 2 and payload is None
+
+    def test_empty_source_is_usage_error(self, capsys):
+        for flag in ("--spec", "--fixture"):
+            code, payload = usage_error(capsys, "closure", flag, "")
+            assert code == 2 and "error" in payload
+
     def test_budget_exit_code(self, capsys):
         code, _ = run(capsys, "closure", "--spec", "cyclic(33)", "--k", "1")
         assert code == 3
@@ -176,6 +187,20 @@ class TestClosure:
 
 
 class TestCiCheck:
+    def test_needs_spec_or_fixture(self, capsys):
+        code, _ = run(capsys, "ci-check", "--target-spec", "cyclic(4)")
+        assert code == 2
+
+    def test_spec_and_fixture_is_usage_error(self, capsys, tmp_path):
+        # two sources are refused; neither is silently dropped
+        path = tmp_path / "s2.json"
+        path.write_text(json.dumps({"degree": 4,
+                                    "generators": [[1, 0, 2, 3]]}))
+        code, payload = run(capsys, "ci-check", "--spec", "cyclic(4)",
+                            "--fixture", str(path),
+                            "--target-spec", "cyclic(4)")
+        assert code == 2 and payload is None
+
     def test_single_class_passes(self, capsys):
         code, payload = run(capsys, "ci-check", "--spec", "cyclic(5)",
                             "--target-spec", "cyclic(5)")

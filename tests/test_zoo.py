@@ -1,15 +1,18 @@
 import hashlib
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleykit.perm import _is_prime
-from cayleykit.zoo import (GroupSpec, cor2_groups, frobenius_natural_action,
-                           group_in_family_R, in_family_R, inner_holomorph,
-                           isomorphic_groups, isomorphic_to_spec,
-                           regular_representation, zsigmondy_ppd)
+from cayleykit.perm import PermGroup, Permutation, _is_prime
+from cayleykit.zoo import (GroupSpec, cayley_table, cor2_groups,
+                           frobenius_natural_action, group_in_family_R,
+                           in_family_R, inner_holomorph, isomorphic_groups,
+                           isomorphic_to_spec, regular_representation,
+                           zsigmondy_ppd)
 
 CORPUS = [GroupSpec.cyclic(7), GroupSpec.cyclic(12),
           GroupSpec.elementary_abelian_2(3), GroupSpec.z4(), GroupSpec.z8(),
@@ -236,6 +239,86 @@ class TestIsomorphism:
         a = regular_representation(GroupSpec.dihedral(4), "left").group
         b = regular_representation(GroupSpec.q8(), "left").group
         assert not isomorphic_groups(a, b)
+
+    def test_non_regular_groups_rejected(self):
+        # the test works on product tables, which only regular groups have
+        S4 = PermGroup.symmetric(4)
+        with pytest.raises(ValueError):
+            isomorphic_groups(S4, S4)
+        with pytest.raises(ValueError):
+            isomorphic_to_spec(S4, GroupSpec.cyclic(4))
+        with pytest.raises(ValueError):
+            cayley_table(PermGroup(4, [Permutation([1, 0, 2, 3])]))
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.kind}{s.size}")
+    def test_left_regular_table_is_the_spec_table(self, spec):
+        n = spec.size
+        assert cayley_table(regular_representation(spec, "left").group) \
+            == [tuple(spec.mult(a, b) for b in range(n)) for a in range(n)]
+
+
+def iso_corpus():
+    """Every spec kind of order at most 16 and some small direct products,
+    each as its left regular group conjugated by a seeded relabeling."""
+    G = GroupSpec
+    specs = [G.cyclic(n) for n in range(1, 17)]
+    specs += [G.elementary_abelian_2(e) for e in range(5)]
+    specs += [G.z4(), G.z8(), G.q8()]
+    specs += [G.dihedral(m) for m in range(1, 9)]
+    specs += [G.dicyclic(m) for m in range(2, 5)]
+    specs += [G.zn_semidirect_y(3, 2, 2), G.zn_semidirect_y(5, 2, 4),
+              G.zn_semidirect_y(7, 2, 6), G.zn_semidirect_y(3, 4, 2)]
+    specs += [G.frobenius(3, 2), G.frobenius(5, 2), G.frobenius(7, 2)]
+    specs += [G.direct_product(f) for f in (
+        [G.cyclic(2), G.cyclic(2)], [G.cyclic(2), G.cyclic(3)],
+        [G.cyclic(2), G.cyclic(4)], [G.cyclic(2), G.cyclic(6)],
+        [G.cyclic(3), G.cyclic(3)], [G.cyclic(4), G.cyclic(4)],
+        [G.cyclic(2), G.cyclic(8)], [G.cyclic(2), G.dihedral(4)],
+        [G.cyclic(2), G.q8()], [G.cyclic(2), G.dihedral(3)],
+        [G.cyclic(2), G.cyclic(2), G.cyclic(4)], [G.z4(), G.cyclic(4)],
+        [G.dihedral(2), G.cyclic(4)])]
+    rng = random.Random(20261018)
+    groups = []
+    for spec in specs:
+        images = list(range(spec.size))
+        rng.shuffle(images)
+        L = regular_representation(spec, "left").group
+        groups.append(L.conjugate(Permutation(images)))
+    return groups
+
+
+def c4_semidirect_c4():
+    """C4 x| C4, the metacyclic row (4, 4, -1, 0), from its product table."""
+    def mult(g, h):
+        (x1, i1), (x2, i2) = divmod(g, 4), divmod(h, 4)
+        return (x1 + (-1) ** i1 * x2) % 4 * 4 + (i1 + i2) % 4
+    return PermGroup(16, [Permutation(mult(g, x) for x in range(16))
+                          for g in (4, 1)])
+
+
+class TestIsomorphismMatrix:
+    def test_matrix_pinned(self):
+        groups = iso_corpus()
+        matrix = [[int(isomorphic_groups(a, b)) for b in groups]
+                  for a in groups]
+        assert all(matrix[i][i] for i in range(len(groups)))
+        digest = hashlib.sha256(json.dumps(matrix).encode()).hexdigest()
+        assert digest == ("754d591f7e9e0a3c7e2493d47d89387a"
+                          "4bd701e5df10c9000b8a6f4d9250cdf9")
+
+    def test_same_fingerprint_not_isomorphic(self):
+        # Same order histogram, center of order 4 and derived subgroup of
+        # order 2, so only the exhaustive generator search tells them apart.
+        a = c4_semidirect_c4()
+        b = regular_representation(GroupSpec.direct_product(
+            [GroupSpec.cyclic(2), GroupSpec.q8()]), "left").group
+        hist = [sorted(Counter(g.order() for g in G.elements()).items())
+                for G in (a, b)]
+        assert hist[0] == hist[1] == [(1, 1), (2, 3), (4, 12)]
+        assert not isomorphic_groups(a, b)
+        assert not isomorphic_groups(b, a)
+        assert isomorphic_groups(a, a.conjugate(
+            Permutation(random.Random(5).sample(range(16), 16))))
 
 
 class TestCor2AndFrobenius:
