@@ -244,21 +244,12 @@ def block_restriction(G, B):
     relabel = {x: i for i, x in enumerate(B)}
     gens = []
     for g in G.elements():
-        if all(g(x) in Bset for x in B):
-            gens.append(Permutation(relabel[g(x)] for x in B))
-    H = PermGroup(len(B), gens)
-    if not _is_block(G, B):
-        raise ValueError("B is not a block of G")
-    return H
-
-
-def _is_block(G, B):
-    Bset = set(B)
-    for g in G.elements():
         image = {g(x) for x in B}
-        if image != Bset and image & Bset:
-            return False
-    return True
+        if image == Bset:
+            gens.append(Permutation(relabel[g(x)] for x in B))
+        elif image & Bset:
+            raise ValueError("B is not a block of G")
+    return PermGroup(len(B), gens)
 
 
 def classify_block_system(G, partition):

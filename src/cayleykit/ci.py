@@ -67,17 +67,40 @@ def _element_keys(H):
 
 def _conjugate_key(key, pair):
     """The element keys of c^-1 H c, for H given by its element keys."""
-    c, cinv = pair
-    return frozenset((cinv * _unchecked(h) * c).images for h in key)
+    c, cinv = pair[0].images, pair[1].images
+    # (c^-1 h c)(x) = c^-1(h(c(x)))
+    return frozenset(tuple([cinv[h[x]] for x in c]) for h in key)
+
+
+def _breadth_first(start, gens, act, identity):
+    """Each state reachable from start, in breadth-first discovery order,
+    with a word w in gens reaching it: act(state, (g, g^-1)) is reached by
+    w * g.  More than BRUTE_FORCE_CAP states raise CapExceededError."""
+    pairs = [(g, g.inverse()) for g in gens]
+    yield start, identity
+    seen = {start}
+    queue = [(start, identity)]
+    for state, w in queue:
+        for pair in pairs:
+            image = act(state, pair)
+            if image in seen:
+                continue
+            seen.add(image)
+            if len(seen) > BRUTE_FORCE_CAP:
+                raise CapExceededError("orbit exceeds the cap")
+            wg = w * pair[0]
+            yield image, wg
+            queue.append((image, wg))
 
 
 def are_conjugate_subgroups(A, R, T, transcript=None):
-    """Some c in A with R^c = T, or None after exhausting a transversal.
+    """Some c in A with R^c = T, or None after exhausting R's class.
 
-    The search walks one representative per right coset of the normalizer
-    of R in A; conjugation is constant on those cosets.  A transcript, if
-    given, logs the first TRANSCRIPT_CAP failed representatives and then
-    one {"dropped": k} entry for the k left out.
+    A breadth-first search over the conjugates of R under A's generators,
+    keyed by element sets.  The class has one member per right coset of
+    the normalizer of R in A.  A transcript, if given, logs the first
+    TRANSCRIPT_CAP members that are not T and then one {"dropped": k}
+    entry for the k left out.
     """
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_subgroup_of(A):
@@ -88,20 +111,13 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
     Tkeys = _element_keys(T)
     if Rkeys == Tkeys:
         return Permutation.identity(A.degree)
-    elems = A.elements()
-    rgens = R.generators
-    norm = [g for g in elems
-            if all((g.inverse() * r * g).images in Rkeys for r in rgens)]
-    visited = set()
+    if A.order > BRUTE_FORCE_CAP:  # the work is |R| * |class| <= |A|
+        raise CapExceededError("ambient group exceeds the cap")
     found = None
     tried = 0
-    for c in elems:
-        if c.images in visited:
-            continue
-        for h in norm:
-            visited.add((h * c).images)
-        cinv = c.inverse()
-        if all((cinv * r * c).images in Tkeys for r in rgens):
+    for key, c in _breadth_first(Rkeys, A.generators, _conjugate_key,
+                                 Permutation.identity(A.degree)):
+        if key == Tkeys:
             found = c
             break
         if transcript is not None and tried < TRANSCRIPT_CAP:
@@ -244,28 +260,9 @@ def partition_transporter(ambient, source, target):
     are partitions, edges are generators, and exhausting the orbit
     certifies that no transporter exists.
     """
-    if source == target:
-        return Permutation.identity(ambient.degree)
-    gen_invs = [(g, g.inverse()) for g in ambient.generators]
-    start = source
-    seen = {start}
-    frontier = [(start, Permutation.identity(ambient.degree))]
-    while frontier:
-        new = []
-        for part, w in frontier:
-            for g, ginv in gen_invs:
-                image = part.apply(ginv)
-                if image in seen:
-                    continue
-                wg = w * g
-                if image == target:
-                    return wg
-                seen.add(image)
-                if len(seen) > BRUTE_FORCE_CAP:
-                    raise CapExceededError("partition orbit exceeds the cap")
-                new.append((image, wg))
-        frontier = new
-    return None
+    return next((w for part, w in _breadth_first(
+        source, ambient.generators, lambda part, pair: part.apply(pair[1]),
+        Permutation.identity(ambient.degree)) if part == target), None)
 
 
 def align_sylow_orbits(R, T, p):
@@ -354,14 +351,13 @@ def _two_group_chain(J):
     n = J.degree
     if n <= 2:
         return []
-    z = None
-    for g in J.elements():
-        if g.order() == 2 and all(g * h == h * g for h in J.generators):
-            z = g
-            break
+    z = next((g for g in J.elements() if g.order() == 2
+              and all(g * h == h * g for h in J.generators)), None)
     if z is None:
         raise RuntimeError("transitive 2-group with no central involution")
-    base = BlockSystem(n, PermGroup(n, [z]).orbits())
+    # z is central in a transitive group, so it fixes no point: its cycles
+    # are the orbits of <z>
+    base = BlockSystem(n, z.cycles())
     act = action_on_blocks(J, base)
     return [base] + [pullback_system(s, base)
                      for s in _two_group_chain(act.group)]

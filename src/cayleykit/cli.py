@@ -124,8 +124,17 @@ def cmd_reproduce(args):
     return EXIT_PASS if body["pass"] else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one JSON line on stderr, like other bad input."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}"}),
+              file=sys.stderr)
+        self.exit(EXIT_USAGE)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cayleykit",
         description="group constructions, k-closures and Cayley-isomorphism "
                     "checks")

@@ -35,8 +35,8 @@ import itertools
 from collections import Counter
 from math import gcd, prod
 
-from .perm import (PermGroup, Permutation, _is_prime, orbit, prime_factors,
-                   sylow_subgroup)
+from .perm import (PermGroup, Permutation, _is_power_of, _is_prime, orbit,
+                   prime_factors)
 
 # The integer parameters of each GroupSpec kind except direct_product, in
 # the order that the constructors and the CLI's name syntax take them.
@@ -364,14 +364,13 @@ def _is_squarefree(n):
     return len(fs) == len(set(fs))
 
 
-def _two_group_type(Q):
-    """Identify a 2-group of order <= 16 among the family's allowed types."""
-    order = Q.order
+def _two_group_type(orders):
+    """Identify a 2-group of order <= 16 among the family's allowed types,
+    from the orders of its elements."""
+    order = len(orders)
     if order == 1:
         return "1"
-    hist = {}
-    for g in Q.elements():
-        hist[g.order()] = hist.get(g.order(), 0) + 1
+    hist = Counter(orders)
     exponent = max(hist)
     if order == 2:
         return "z2"
@@ -396,24 +395,28 @@ def group_in_family_R(G):
 
     Family members are Zn x R2 for n odd square-free and R2 one of the
     seven small 2-groups, or Zn x| <y> with o(y) in {2,4,8}, y noncentral
-    and y^2 central.
+    and y^2 central.  Decided from one listing of G: element orders and
+    commutation with G's generators.
     """
+    not_member = {"member": False, "case": None, "witness": None}
     order = G.order
     m = _odd_part(order)
     if not _is_squarefree(m):
-        return {"member": False, "case": None, "witness": None}
+        return not_member
     elems = G.elements()
-    odd_elems = [g for g in elems if g.order() % 2 == 1]
-    C = PermGroup(G.degree, odd_elems)
-    if C.order != m or not any(g.order() == m for g in odd_elems):
-        return {"member": False, "case": None, "witness": None}
-    if order == m:  # odd group: member iff cyclic, which we just checked
-        return {"member": True, "case": "a",
-                "witness": {"n": m, "sylow_2": "1"}}
-    Q = sylow_subgroup(G, 2)
-    commute = all(q * c == c * q for q in Q.generators for c in C.generators)
-    if commute:
-        qtype = _two_group_type(Q)
+    orders = [g.order() for g in elems]
+    # the elements of odd order form a cyclic group C of order m exactly
+    # when there are m of them and one has order m
+    if sum(o % 2 for o in orders) != m or m not in orders:
+        return not_member
+    c = elems[orders.index(m)]
+
+    def central(g):
+        return all(g * h == h * g for h in G.generators)
+
+    if central(c):
+        # G = C x Q, and Q is the set of elements of 2-power order
+        qtype = _two_group_type([o for o in orders if _is_power_of(o, 2)])
         if qtype in FAMILY_CASE_A_TYPES:
             return {"member": True, "case": "a",
                     "witness": {"n": m, "sylow_2": qtype}}
@@ -423,21 +426,19 @@ def group_in_family_R(G):
             return {"member": True, "case": "a",
                     "witness": {"n": m, "sylow_2": qtype,
                                 "degenerate": "central order-8 element"}}
-        return {"member": False, "case": None, "witness": None}
-    # case (b): Sylow 2 must be cyclic, generated by some y with y^2 central
-    qtype = _two_group_type(Q)
-    if qtype not in ("z2", "z4", "z8"):
-        return {"member": False, "case": None, "witness": None}
-    y = max(Q.elements(), key=lambda g: g.order())
-    y2 = y * y
-    central = all(y2 * g == g * y2 for g in G.generators)
-    y_central = all(y * g == g * y for g in G.generators)
-    # y must normalize C with an order-two action; y^2 central gives that
-    acts_ok = all(C.contains(y.inverse() * c * y) for c in C.generators)
-    if central and not y_central and acts_ok:
+        return not_member
+    # case (b): a cyclic Sylow 2-subgroup <y> with y^2 central and y not.
+    # Every generator of every Sylow 2-subgroup gives the same answer.  y
+    # needs no check that it normalizes C: C, the set of elements of odd
+    # order, is closed under conjugation.
+    q = order // m
+    if q not in (2, 4, 8) or q not in orders:
+        return not_member
+    y = elems[orders.index(q)]
+    if central(y * y) and not central(y):
         return {"member": True, "case": "b",
-                "witness": {"n": m, "order_of_y": y.order()}}
-    return {"member": False, "case": None, "witness": None}
+                "witness": {"n": m, "order_of_y": q}}
+    return not_member
 
 
 def in_family_R(spec):

@@ -73,6 +73,51 @@ class TestConjugacy:
             are_conjugate_subgroups(S4, S5sub, S5sub)
 
 
+@st.composite
+def conjugacy_cases(draw):
+    """A random group A of degree 3 to 6 on two or three generators and
+    two subgroups R, T of A, each generated by one or two elements of A;
+    half the time T is a conjugate of R by an element of A."""
+    n = draw(st.integers(3, 6))
+    perms = st.permutations(range(n)).map(Permutation)
+    A = PermGroup(n, draw(st.lists(perms, min_size=2, max_size=3)))
+    elems = st.sampled_from(A.elements())
+    R = PermGroup(n, draw(st.lists(elems, min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        T = R.conjugate(draw(elems))
+    else:
+        T = PermGroup(n, draw(st.lists(elems, min_size=1, max_size=2)))
+    return A, R, T
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugacy_cases())
+def test_conjugacy_matches_brute_force(case):
+    A, R, T = case
+    Rkeys = {g.images for g in R.elements()}
+    Tkeys = {g.images for g in T.elements()}
+
+    def maps_into(c, keys):
+        cinv = c.inverse()
+        return all((cinv * r * c).images in keys for r in R.generators)
+
+    elems = A.elements()
+    conjugate = R.order == T.order and any(maps_into(c, Tkeys)
+                                           for c in elems)
+    transcript = []
+    got = are_conjugate_subgroups(A, R, T, transcript=transcript)
+    assert (got is not None) == conjugate
+    if got is not None:
+        assert A.contains(got)
+        assert {g.images for g in R.conjugate(got).elements()} == Tkeys
+    elif R.order == T.order:
+        # a "none" tried every member of R's class, one per right coset
+        # of the normalizer
+        tried = sum(e.get("dropped", 1) for e in transcript)
+        normalizer = sum(maps_into(c, Rkeys) for c in elems)
+        assert tried == A.order // normalizer
+
+
 class TestRegularSubgroups:
     def test_self_class(self):
         R = regular(GroupSpec.cyclic(6))

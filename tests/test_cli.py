@@ -274,6 +274,21 @@ def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["closure", "--spec", "cyclic(4)", "--fixture", M12, "--k", "1"],
+    ["nonsense"],
+    ["ci-check", "--spec", "cyclic(4)"],
+], ids=["spec-and-fixture", "unknown-subcommand", "missing-target-spec"])
+def test_argparse_error_is_one_json_line(capsys, argv):
+    code, payload = usage_error(capsys, *argv)
+    assert code == 2 and isinstance(payload["error"], str)
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
 # Spec fuzzing.  Every integer stays at 8 or below, and valid specs of order
 # above 256 are skipped: a regular representation of order 2048 alone takes
 # seconds.

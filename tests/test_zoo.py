@@ -220,6 +220,49 @@ class TestFamilyMembership:
         assert res["witness"]["order_of_y"] == 2
 
 
+def cd_rows():
+    """Every cyclic(n) x dihedral(m) and every cyclic(n) x dicyclic(m) with
+    3 not dividing m, of order at most 64: dihedral rows first, each kind
+    by m, then n."""
+    G = GroupSpec
+    rows = [(G.cyclic(n), G.dihedral(m))
+            for m in range(1, 33) for n in range(1, 32 // m + 1)]
+    rows += [(G.cyclic(n), G.dicyclic(m))
+             for m in range(2, 17) if m % 3 for n in range(1, 16 // m + 1)]
+    return [G.direct_product(list(r)) for r in rows]
+
+
+class TestFamilyPinned:
+    """group_in_family_R verdicts recorded from the Sylow-subgroup
+    implementation, which this one must reproduce verdict for verdict."""
+
+    @pytest.mark.parametrize("corpus, size, members, digest", [
+        (cd_rows, 143, 56, "c15b3cebccaee861185f45e55c0171e1"
+                           "d526e3a49b9e7aa96280be4188034709"),
+        # every kind, among them Frobenius groups whose y^2 is not central
+        (spec_grid, 162, 115, "1be44fcdc61bf208c07b25798adb6e08"
+                              "faaafd9635cedf44e3fdcb542f62411a"),
+    ], ids=["cd-rows", "spec-grid"])
+    def test_verdicts_pinned(self, corpus, size, members, digest):
+        verdicts = [in_family_R(spec) for spec in corpus()]
+        assert len(verdicts) == size
+        assert sum(v["member"] for v in verdicts) == members
+        assert hashlib.sha256(json.dumps(
+            verdicts, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_natural_actions(self):
+        S3, S4 = PermGroup.symmetric(3), PermGroup.symmetric(4)
+        A4 = PermGroup(4, [Permutation([1, 2, 0, 3]),
+                           Permutation([1, 0, 3, 2])])
+        assert group_in_family_R(S3) == {
+            "member": True, "case": "b",
+            "witness": {"n": 3, "order_of_y": 2}}
+        for G in (S4, A4):
+            # 9 elements of odd order, not a cyclic group of order 3
+            assert group_in_family_R(G) == {
+                "member": False, "case": None, "witness": None}
+
+
 class TestIsomorphism:
     def test_positive(self):
         H = regular_representation(GroupSpec.dicyclic(5), "left").group
