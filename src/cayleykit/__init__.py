@@ -10,8 +10,8 @@ from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, is_normal_in, normalizer, orbit,
                    pointwise_stabilizer, sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
-                     all_block_systems, all_minimal_block_systems,
-                     block_restriction, classify_block_system, fix_blocks,
+                     all_block_systems, block_restriction,
+                     classify_block_system, fix_blocks,
                      minimal_block_containing, pullback_system, refines,
                      verify_tower)
 from .zoo import (GroupSpec, LabeledPermGroup, cor2_groups,

@@ -86,12 +86,10 @@ class BlockSystem:
         return cls(data["degree"], data["blocks"])
 
 
-def minimal_block_containing(G, a, b):
-    """The finest block system of transitive G with a and b in one block."""
-    if not G.is_transitive():
-        raise ValueError("group must be transitive")
-    if a == b:
-        raise ValueError("points must be distinct")
+def _join(G, cells):
+    """The finest G-invariant partition with each of the point sets cells
+    inside one cell.  Each merge of two classes queues the images of the
+    merged pair under every generator."""
     n = G.degree
     parent = list(range(n))
 
@@ -101,26 +99,26 @@ def minimal_block_containing(G, a, b):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    union(a, b)
-    changed = True
-    while changed:
-        changed = False
-        for g in G.generators:
-            for x in range(n):
-                r = find(x)
-                if x != r and union(g(x), g(r)):
-                    changed = True
-    cells = {}
+    # the loop appends to the list it reads
+    queue = [(cell[0], x) for cell in cells for x in cell[1:]]
+    for a, b in queue:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            queue.extend((g(a), g(b)) for g in G.generators)
+    out = {}
     for x in range(n):
-        cells.setdefault(find(x), []).append(x)
-    return BlockSystem(n, cells.values())
+        out.setdefault(find(x), []).append(x)
+    return BlockSystem(n, out.values())
+
+
+def minimal_block_containing(G, a, b):
+    """The finest block system of transitive G with a and b in one block."""
+    if not G.is_transitive():
+        raise ValueError("group must be transitive")
+    if a == b:
+        raise ValueError("points must be distinct")
+    return _join(G, [(a, b)])
 
 
 def refines(B, C):
@@ -131,35 +129,28 @@ def refines(B, C):
     return all(len({idx[x] for x in cell}) == 1 for cell in B.blocks)
 
 
-def all_minimal_block_systems(G):
-    """All minimal (w.r.t. refinement) nontrivial block systems."""
-    if not G.is_transitive():
-        raise ValueError("group must be transitive")
-    candidates = set()
-    for x in range(1, G.degree):
-        bs = minimal_block_containing(G, 0, x)
-        if not bs.is_trivial():
-            candidates.add(bs)
-    out = [bs for bs in candidates
-           if not any(other != bs and refines(other, bs)
-                      for other in candidates)]
-    return sorted(out)
-
-
 def all_block_systems(G):
     """Every nontrivial proper block system of transitive G.
 
-    Recursive discovery: minimal systems, then pullbacks of the systems of
-    each quotient action.
+    The blocks containing 0 are closed under joins, and each is the join
+    of the minimal blocks of {0, x} over its points x.  So the search
+    starts from the singletons and, for each system found and each block
+    other than 0's, takes the finest system coarser than it with 0 and
+    that block's least point in one block.
     """
-    found = set()
-    for bs in all_minimal_block_systems(G):
-        found.add(bs)
-        action = action_on_blocks(G, bs)
-        if action.group.degree > 1:
-            for sub in all_block_systems(action.group):
-                found.add(pullback_system(sub, bs))
-    return sorted(found)
+    if not G.is_transitive():
+        raise ValueError("group must be transitive")
+    n = G.degree
+    finest = BlockSystem.singletons(n)
+    found = {finest}
+    queue = [finest]
+    for bs in queue:  # the loop appends to the list it reads
+        for cell in bs.blocks[1:]:  # blocks[0] holds 0
+            join = _join(G, bs.blocks + ((0, cell[0]),))
+            if join not in found:
+                found.add(join)
+                queue.append(join)
+    return sorted(bs for bs in found if not bs.is_trivial())
 
 
 def pullback_system(quotient_bs, bs):

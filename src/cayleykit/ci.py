@@ -14,12 +14,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .blocks import (BlockSystem, action_on_blocks, classify_block_system,
-                     pullback_system, verify_tower)
+from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
+                     classify_block_system, pullback_system, verify_tower)
 from .closures import DEGREE_BUDGET, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
-                   PermGroup, Permutation, _is_power_of, _is_prime,
-                   _unchecked, orbit, prime_factors, sylow_subgroup)
+                   PermGroup, Permutation, _is_power_of, _is_prime, orbit,
+                   prime_factors, sylow_subgroup)
 from .zoo import (cayley_table, group_in_family_R, inner_holomorph,
                   isomorphic_groups, isomorphism_test, regular_representation)
 
@@ -314,34 +314,6 @@ def canonical_ratio_patterns(order):
     return patterns
 
 
-def _normal_small_subgroups(G, orders):
-    """Subgroups of the 2-part of G, normal in G, of the given orders."""
-    elems = G.elements()
-    out = []
-    seen = set()
-    for g in elems:
-        o = g.order()
-        if o in orders:
-            H = PermGroup(G.degree, [g])
-            key = _element_keys(H)
-            if key in seen:
-                continue
-            seen.add(key)
-            if H.order in orders and _is_normal_by_keys(G, key):
-                out.append(H)
-    return out
-
-
-def _is_normal_by_keys(G, keys):
-    elems = [_unchecked(im) for im in keys]
-    for g in G.generators:
-        ginv = g.inverse()
-        for h in elems:
-            if (ginv * h * g).images not in keys:
-                return False
-    return True
-
-
 def _two_group_chain(J):
     """A full chain of normal block systems of a transitive 2-group.
 
@@ -409,9 +381,8 @@ def _descend(R, T, transcript):
     ascending, exceptional tag or None).
     """
     n = R.degree
-    ident = Permutation.identity(n)
-    if n == 1:
-        return ident, [], None
+    if n == 1 or _is_prime(n):  # no proper nontrivial system
+        return Permutation.identity(n), [], None
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
     if not odd:
         d, chain = _two_group_tail(R, T, transcript)
@@ -442,29 +413,18 @@ def _descend(R, T, transcript):
 
 
 def _exceptional_descent(R, T, transcript):
-    """Fallback when no odd-prime alignment exists: align the orbit
-    partition of a small normal 2-subgroup instead (blocks of size 4,
-    then 2)."""
-    ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
+    """Fallback when no odd-prime alignment exists: a normal block system
+    of <R, T> itself, with blocks of size 4, then 2."""
+    joint = PermGroup(R.degree, list(R.generators) + list(T.generators))
+    systems = all_block_systems(joint)
     for size in (4, 2):
-        if R.order % size != 0:
-            continue
-        for HR in _normal_small_subgroups(R, {size}):
-            PR = _orbit_partition(HR)
-            for HT in _normal_small_subgroups(T, {size}):
-                PT = _orbit_partition(HT)
-                d = partition_transporter(ambient, PT, PR)
-                if d is None:
-                    continue
-                dinv = d.inverse()
-                joint = PermGroup(R.degree, list(R.generators)
-                                  + [dinv * t * d for t in T.generators])
-                verdict = classify_block_system(joint, PR)
-                if not (verdict["is_block_system"] and verdict["is_normal"]):
-                    continue
+        for bs in systems:
+            if (bs.block_size == size
+                    and classify_block_system(joint, bs)["is_normal"]):
                 transcript.append({"event": "exceptional_aligned",
                                    "block_size": size})
-                return d, PR, "exceptional_block_%d" % size
+                return (Permutation.identity(R.degree), bs,
+                        "exceptional_block_%d" % size)
     transcript.append({"event": "exceptional_failed"})
     return None, None, None
 

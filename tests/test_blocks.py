@@ -1,14 +1,18 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit.blocks import (BlockSystem, action_on_blocks,
-                              all_block_systems, all_minimal_block_systems,
-                              block_restriction, classify_block_system,
-                              fix_blocks, minimal_block_containing,
-                              pullback_system, refines, verify_tower)
+                              all_block_systems, block_restriction,
+                              classify_block_system, fix_blocks,
+                              minimal_block_containing, pullback_system,
+                              refines, verify_tower)
 from cayleykit.perm import PermGroup, Permutation
 from cayleykit.repro import invariant_partition_scan
-from cayleykit.zoo import GroupSpec, regular_representation
+from cayleykit.zoo import (GroupSpec, frobenius_natural_action,
+                           inner_holomorph, regular_representation)
 
 
 def regular(spec):
@@ -44,7 +48,7 @@ class TestBlockSystem:
 
 class TestMinimalBlocks:
     def test_z6_minimal_systems(self):
-        systems = all_minimal_block_systems(cyc(6))
+        systems = all_block_systems(cyc(6))
         sizes = sorted(bs.block_size for bs in systems)
         assert sizes == [2, 3]
 
@@ -55,7 +59,7 @@ class TestMinimalBlocks:
         assert minimal_block_containing(G, 0, 2).block_size == 3
 
     def test_prime_degree_is_primitive(self):
-        assert all_minimal_block_systems(cyc(5)) == []
+        assert all_block_systems(cyc(5)) == []
 
     def test_requires_transitive(self):
         G = PermGroup(4, [Permutation([1, 0, 2, 3])])
@@ -77,6 +81,38 @@ class TestAllBlockSystems:
 
     def test_s4_natural(self):
         assert all_block_systems(PermGroup.symmetric(4)) == []
+
+    def test_corpus_digest(self):
+        # every system of 67 groups, pinned before the search was rewritten
+        groups = []
+        for n in range(1, 33):
+            for m in range(1, 33):
+                if 2 * n * m <= 32:
+                    groups.append(regular(GroupSpec.direct_product(
+                        [GroupSpec.cyclic(n), GroupSpec.dihedral(m)])))
+                if m >= 2 and m % 3 and 4 * n * m <= 32:
+                    groups.append(regular(GroupSpec.direct_product(
+                        [GroupSpec.cyclic(n), GroupSpec.dicyclic(m)])))
+        assert len(groups) == 59
+        groups += [
+            PermGroup.symmetric(4),
+            PermGroup(4, [Permutation([1, 2, 3, 0]),
+                          Permutation([2, 1, 0, 3])]),  # D8
+            PermGroup(4, [Permutation([1, 2, 0, 3]),
+                          Permutation([1, 0, 3, 2])]),  # A4
+            PermGroup(6, [Permutation([1, 0, 2, 3, 4, 5]),
+                          Permutation([2, 3, 4, 5, 0, 1]),
+                          Permutation([2, 3, 0, 1, 4, 5])]),  # S2 wr S3
+            inner_holomorph(GroupSpec.q8()),
+            inner_holomorph(GroupSpec.dihedral(4)),
+            frobenius_natural_action(5, 4),
+            frobenius_natural_action(7, 3),
+        ]
+        systems = [[bs.to_json() for bs in all_block_systems(G)]
+                   for G in groups]
+        assert sum(map(len, systems)) == 964
+        digest = hashlib.sha256(json.dumps(systems).encode()).hexdigest()
+        assert digest.startswith("2cdc8a411954fb15")
 
 
 class TestRefinement:

@@ -1,18 +1,21 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cayleykit.blocks import BlockSystem, classify_block_system
+from cayleykit.blocks import (BlockSystem, all_block_systems,
+                              classify_block_system)
 from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
                           are_conjugate_subgroups, babai_check,
                           block_tower_search, canonical_ratio_patterns,
                           holomorph_witness, partition_transporter,
                           regular_subgroups)
 from cayleykit.closures import k_closure
-from cayleykit.perm import (TRANSCRIPT_CAP, PermGroup, Permutation,
+from cayleykit.perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP,
+                            CapExceededError, PermGroup, Permutation,
                             pointwise_stabilizer, sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
@@ -379,3 +382,81 @@ class TestTowerSearch:
         data = res.to_json()
         assert data["ratios"] == [3, 2, 2]
         assert len(data["tower"]) == 4
+
+    @pytest.mark.parametrize("spec, c", [
+        (GroupSpec.dicyclic(3), [3, 2, 1, 0, 8, 11, 9, 10, 5, 7, 6, 4]),
+        (GroupSpec.direct_product([GroupSpec.cyclic(3),
+                                   GroupSpec.elementary_abelian_2(2)]),
+         [7, 6, 4, 5, 0, 3, 2, 1, 10, 9, 8, 11]),
+        (GroupSpec.zn_semidirect_y(3, 4, 2),
+         [8, 11, 9, 10, 2, 0, 1, 3, 4, 5, 6, 7]),
+    ])
+    def test_fallback_uses_normal_system_of_joint_group(self, spec, c):
+        # no conjugate aligns the Sylow 3-orbits, but <R, T> has a normal
+        # system with blocks of size 4 over three blocks
+        R = regular(spec)
+        res = block_tower_search(R, R.conjugate(Permutation(c)))
+        assert isinstance(res, TowerResult)
+        assert res.ratios == [4, 3]
+        assert res.exceptional_case == "dicyclic_quotient"
+        assert res.transcript == [
+            {"event": "alignment_failed", "prime": 3},
+            {"event": "exceptional_aligned", "block_size": 4}]
+
+    @pytest.mark.parametrize("n, ratios", [(3, [3]), (15, [5, 3]),
+                                           (21, [7, 3])])
+    def test_odd_order_self(self, n, ratios):
+        # a level of prime degree ends the descent
+        R = regular(GroupSpec.cyclic(n))
+        res = block_tower_search(R, R)
+        assert isinstance(res, TowerResult) and res.ratios == ratios
+
+
+def partition_stabilizer(bs):
+    """The stabilizer of a block system: S_b on its first block, one swap
+    and one cycle of its blocks."""
+    n = bs.degree
+
+    def perm(pairs):
+        im = list(range(n))
+        for x, y in pairs:
+            im[x] = y
+        return Permutation(im)
+
+    first = bs.blocks[0]
+    k = len(bs.blocks)
+    return PermGroup(n, [
+        perm(zip(first, first[1:] + first[:1])),
+        perm(zip(first[:2], first[1::-1])),
+        perm(zip(bs.blocks[0] + bs.blocks[1], bs.blocks[1] + bs.blocks[0])),
+        perm((x, y) for i in range(k)
+             for x, y in zip(bs.blocks[i], bs.blocks[(i + 1) % k])),
+    ])
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.dicyclic(3), GroupSpec.cyclic(12),
+    GroupSpec.direct_product([GroupSpec.cyclic(3),
+                              GroupSpec.elementary_abelian_2(2)]),
+    GroupSpec.zn_semidirect_y(3, 4, 2), GroupSpec.cyclic(15),
+    GroupSpec.cyclic(21)],
+    ids=["dic3", "z12", "z3xz2^2", "z3:z4", "z15", "z21"])
+def test_tower_search_on_sampled_conjugates(spec):
+    """One seeded conjugator from the inner holomorph and one from the
+    stabilizer of each block system of R; a joint group over the cap is
+    refused, every other pair gets a canonical tower."""
+    R = regular(spec)
+    rng = random.Random(12)
+    pools = [inner_holomorph(spec)]
+    pools += [partition_stabilizer(bs) for bs in all_block_systems(R)]
+    patterns = canonical_ratio_patterns(R.order)
+    for W in pools:
+        T = R.conjugate(W.element_at(rng.randrange(W.order)))
+        joint = PermGroup(R.degree, list(R.generators) + list(T.generators))
+        if joint.order > BRUTE_FORCE_CAP:
+            with pytest.raises(CapExceededError):
+                block_tower_search(R, T)
+            continue
+        res = block_tower_search(R, T)
+        assert isinstance(res, TowerResult)
+        assert tuple(res.ratios) in patterns

@@ -234,6 +234,12 @@ class TestTower:
         assert code == 0
         assert payload["ratios"] == [3, 2, 2]
 
+    def test_odd_order(self, capsys, tmp_path):
+        p = write_group_file(tmp_path, "z15.json", GroupSpec.cyclic(15))
+        code, payload = run(capsys, "tower", p, p)
+        assert code == 0
+        assert payload["ratios"] == [5, 3]
+
     def test_degree_one(self, capsys, tmp_path):
         path = tmp_path / "trivial.json"
         path.write_text(json.dumps({"degree": 1, "generators": []}))
