@@ -144,7 +144,8 @@ def regular_subgroups(A, spec):
     branch.  Each complete assignment is a subgroup, keyed by its element
     set.  Only a key outside the conjugacy classes already decided goes
     to the isomorphism test, on its product table; its class is then
-    decided, and only an accepted key gets a stabilizer chain.
+    decided, and only an accepted key gets a stabilizer chain, built on
+    the known base [0] without Schreier-Sims.
     """
     n = A.degree
     if n != spec.size:
@@ -193,7 +194,8 @@ def regular_subgroups(A, spec):
         if key in seen_conjugates:
             return
         if is_spec([assigned[y].images for y in range(n)]):
-            reps.append(PermGroup(n, list(assigned.values())))
+            # base [0]: the elements are a strong set, assigned its transversal
+            reps.append(PermGroup.from_bsgs(n, [0], assigned.values()))
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 

@@ -8,6 +8,7 @@ ordered k-tuples.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .perm import PermGroup, Permutation, orbit
 
@@ -29,19 +30,15 @@ class ColoredStructure:
 
     __slots__ = ("degree", "arity", "colors")
 
-    def __init__(self, degree, arity, colors, canonicalize=True):
+    def __init__(self, degree, arity, colors):
         colors = list(colors)
         if len(colors) != degree ** arity:
             raise ValueError("color table has the wrong length")
-        if canonicalize:
-            relabel = {}
-            for c in colors:
-                if c not in relabel:
-                    relabel[c] = len(relabel)
-            colors = [relabel[c] for c in colors]
+        # dict.fromkeys keeps the colors in order of first occurrence
+        relabel = {c: i for i, c in enumerate(dict.fromkeys(colors))}
         self.degree = degree
         self.arity = arity
-        self.colors = tuple(colors)
+        self.colors = tuple(map(relabel.__getitem__, colors))
 
     @property
     def num_colors(self):
@@ -94,26 +91,52 @@ def _tuple_codes(digit, radix, k):
     return table
 
 
-def _tuple_action_table(g, n, k):
-    """Index map of the componentwise action of g on encoded k-tuples."""
-    return _tuple_codes([g(x) for x in range(n)], n, k)
+def _orbit_labels(gens, n, k):
+    """A label below n^k for every k-tuple, in encoding order, such that
+    two tuples share a label iff they lie in one orbit of the group that
+    gens (image tuples) generate.
+
+    For each orbit O with least point r, u_x in a transversal sends r to
+    x, and (x, t) lies in the orbit of (r, u_x^-1 t).  So the tuples that
+    start in O take r * n^(k-1) plus the labels of the (k-1)-tuples under
+    the stabilizer of r, which Schreier's lemma generates by u_sx^-1 s u_x.
+    """
+    if not gens:
+        return list(range(n ** k))
+    identity = tuple(range(n))
+    rows = [None] * n  # rows[x]: the labels of the tuples starting with x
+    for r in range(n):
+        if rows[r] is not None:
+            continue
+        u = {r: identity}
+        reach = [r]
+        for x in reach:
+            for s in gens:
+                y = s[x]
+                if y not in u:
+                    u[y] = tuple([s[i] for i in u[x]])
+                    reach.append(y)
+        if k == 1:
+            for x in reach:
+                rows[x] = (r,)
+            continue
+        inv = {x: sorted(identity, key=ux.__getitem__) for x, ux in u.items()}
+        stab = {tuple([inv[s[x]][s[i]] for i in ux])
+                for x, ux in u.items() for s in gens}
+        stab.discard(identity)
+        offset = r * n ** (k - 1)
+        sub = [offset + c for c in _orbit_labels(list(stab), n, k - 1)]
+        for x in reach:
+            rows[x] = [sub[c] for c in _tuple_codes(inv[x], n, k - 1)]
+    return list(itertools.chain.from_iterable(rows))
 
 
 def orbit_coloring(G, k):
     """Color two k-tuples alike iff they lie in one G-orbit."""
     n = G.degree
     _check_budget(n, k)
-    total = n ** k
-    tables = [_tuple_action_table(g, n, k) for g in G.generators]
-    colors = [-1] * total
-    color = 0
-    for start in range(total):
-        if colors[start] != -1:
-            continue
-        for t in orbit(start, tables, lambda t, tab: tab[t]):
-            colors[t] = color
-        color += 1
-    return ColoredStructure(n, k, colors, canonicalize=False)
+    return ColoredStructure(
+        n, k, _orbit_labels([g.images for g in G.generators], n, k))
 
 
 def is_automorphism(S, p):
@@ -129,57 +152,23 @@ def is_automorphism(S, p):
                for t, c in zip(map(sum, itertools.product(*digits)), colors))
 
 
-def _point_invariants(S):
-    """Iterated refinement classes of points under the coloring.
-
-    Returns a list class_id[x]; automorphisms preserve classes.  A point's
-    signature lists, per position, the sorted (color, classes of the
-    coordinates) of the tuples holding it there; each round splits classes
-    by signature until no class splits.
-    """
-    n, k = S.degree, S.arity
-    total = n ** k
-    colors = S.colors
-    # tuples with x at position i: runs of n^(k-1-i) every n^(k-i)
-    runs = [(n ** (k - 1 - i), n ** (k - i)) for i in range(k)]
-    classes = [0] * n
-    num_classes = 1
-    while True:
-        # one int per tuple packs its color and its coordinates' classes
-        shift = num_classes ** k
-        keys = [c * shift + t for c, t in
-                zip(colors, _tuple_codes(classes, num_classes, k))]
-        rank = {}
-        new = []
-        for x in range(n):
-            sig = []
-            for run, step in runs:
-                if run == 1:
-                    sig += sorted(keys[x::n])
-                else:
-                    sig += sorted(itertools.chain.from_iterable(
-                        keys[s:s + run] for s in range(x * run, total, step)))
-            new.append(rank.setdefault(tuple(sig), len(rank)))
-        # each signature determines the old class, so the partition only
-        # refines; it is stable once the class count stops growing
-        if len(rank) == num_classes:
-            return classes
-        classes, num_classes = new, len(rank)
-
-
 def automorphisms(S):
     """The full automorphism group of a colored structure.
 
     Strong generators are found base point by base point: for each level i
     and candidate image y, a depth-first completion search either produces
     an automorphism fixing 0..i-1 and sending i to y, or proves none exists.
+    An automorphism keeps the color of each diagonal tuple (x, ..., x), so
+    x is only sent to points whose diagonal tuple has x's color.  On an
+    orbit coloring of G these point classes are the G-orbits, which are
+    the orbits of the automorphism group.
     """
     n, k = S.degree, S.arity
     _check_budget(n, k)
-    if n == 0:
-        return PermGroup.trivial(0)
     colors = S.colors
-    classes = _point_invariants(S)
+    # (x, ..., x) is encoded as x * (1 + n + ... + n^(k-1))
+    diagonal = sum(n ** i for i in range(k))
+    classes = colors[::diagonal]
     # candidate images sorted ascending, per class
     members = {}
     for x in range(n):
@@ -197,16 +186,19 @@ def automorphisms(S):
                     return False
             return colors[x * n + x] == colors[y * n + y]
     else:
+        nn = n * n
+
         def consistent(partial, x, y):
-            items = list(partial.items()) + [(x, y)]
-            for a, fa in items:
-                xa, ya = x * n + a, y * n + fa
-                for b, fb in items:
-                    if colors[(xa) * n + b] != colors[(ya) * n + fb]:
-                        return False
-                    if colors[(a * n + x) * n + b] != colors[(fa * n + y) * n + fb]:
-                        return False
-                    if colors[(a * n + b) * n + x] != colors[(fa * n + fb) * n + y]:
+            # for each a, the rows (x, a, .), (a, x, .) and (a, ., x) at
+            # the assigned points against the rows of their images
+            xs, ys = list(partial) + [x], list(partial.values()) + [y]
+            pick_x, pick_y = itemgetter(*xs), itemgetter(*ys)
+            for a, fa in zip(xs, ys):
+                for s, t, step in (((x * n + a) * n, (y * n + fa) * n, 1),
+                                   ((a * n + x) * n, (fa * n + y) * n, 1),
+                                   (a * nn + x, fa * nn + y, n)):
+                    if pick_x(colors[s:s + n * step:step]) \
+                            != pick_y(colors[t:t + n * step:step]):
                         return False
             return True
 

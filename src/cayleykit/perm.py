@@ -161,25 +161,29 @@ def orbit(start, gens, act):
 
 
 class _Chain:
-    """Deterministic Schreier-Sims stabilizer chain."""
+    """Stabilizer chain of a base and a strong generating set."""
 
-    def __init__(self, degree, gens, base_hint=()):
+    def __init__(self, degree, base, strong):
+        """Transversals built by orbit; no Schreier generator is sifted."""
         self.degree = degree
         self.identity = Permutation.identity(degree)
-        self.base = []
-        self.strong = []
-        self.transversals = []
-        for b in base_hint:
-            self.base.append(b)
-            self.transversals.append({b: self.identity})
-        for g in gens:
-            if not g.is_identity():
-                self.strong.append(g)
-                if all(g(b) == b for b in self.base):
-                    self._new_base_point(g)
+        self.base = list(base)
+        self.strong = list(strong)
+        self.transversals = [None] * len(self.base)
         for i in range(len(self.base)):
             self._recompute(i)
-        self._close()
+
+    @classmethod
+    def schreier_sims(cls, degree, gens, base_hint=()):
+        """The deterministic Schreier-Sims chain of the group gens generate."""
+        chain = cls(degree, base_hint, [])
+        for g in gens:
+            if not g.is_identity():
+                chain.strong.append(g)
+                if all(g(b) == b for b in chain.base):
+                    chain._new_base_point(g)
+        chain._close()
+        return chain
 
     def _new_base_point(self, g):
         pt = min(x for x in range(self.degree) if g(x) != x)
@@ -302,8 +306,20 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(sorted(gens))
-        self._chain = _Chain(degree, self.generators)
+        self._chain = _Chain.schreier_sims(degree, self.generators)
         self.order = self._chain.order
+
+    @classmethod
+    def from_bsgs(cls, degree, base, strong):
+        """The group of a trusted base and strong generating set of distinct
+        permutations, with PermGroup(degree, strong)'s generators but no
+        Schreier-Sims run."""
+        G = object.__new__(cls)
+        G.degree = degree
+        G.generators = tuple(sorted(g for g in strong if not g.is_identity()))
+        G._chain = _Chain(degree, base, G.generators)
+        G.order = G._chain.order
+        return G
 
     @classmethod
     def trivial(cls, degree):
@@ -504,7 +520,7 @@ def _is_power_of(n, p):
 
 def pointwise_stabilizer(G, points):
     """Subgroup of G fixing each of the given points."""
-    chain = _Chain(G.degree, G.generators, base_hint=tuple(points))
+    chain = _Chain.schreier_sims(G.degree, G.generators, tuple(points))
     pts = set(points)
     gens = [s for s in chain.strong if all(s(b) == b for b in pts)]
     return PermGroup(G.degree, gens)
@@ -512,6 +528,6 @@ def pointwise_stabilizer(G, points):
 
 def element_mapping_points(G, sources, targets):
     """Some g in G with g(sources[i]) == targets[i] for all i, or None."""
-    chain = _Chain(G.degree, G.generators, base_hint=tuple(sources))
+    chain = _Chain.schreier_sims(G.degree, G.generators, tuple(sources))
     return chain.element_with_base_images(list(targets))
 

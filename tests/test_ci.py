@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cayleykit import perm
 from cayleykit.blocks import (BlockSystem, all_block_systems,
                               classify_block_system)
 from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
@@ -168,6 +169,42 @@ class TestRegularSubgroups:
         digest = hashlib.sha256(json.dumps(gens).encode()).hexdigest()
         assert digest == ("7dc0720d0a68a798586f4020459ff690"
                           "b05b2749123dc29b2b3bf12bc6b16299")
+
+    def test_c2_x_d4_row_builds_one_chain(self, monkeypatch):
+        # the representatives take their chains from the known base [0];
+        # the one Schreier-Sims build is the regular copy of the spec
+        spec = GroupSpec.direct_product([GroupSpec.cyclic(2),
+                                         GroupSpec.dihedral(4)])
+        A = k_closure(inner_holomorph(spec), 3)
+        builds = []
+        build = perm._Chain.schreier_sims
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(perm._Chain, "schreier_sims", counted)
+        assert len(regular_subgroups(A, spec)) == 15
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("name", ["s4", "a4", "example-degree-20"])
+    def test_representative_chains_match_schreier_sims(self, name):
+        ambients = {name: (A, specs)
+                    for name, A, specs in _regular_oracle_corpus()}
+        ambients["example-degree-20"] = (
+            inner_holomorph(GroupSpec.frobenius(5, 4)),
+            [GroupSpec.dicyclic(5)])
+        A, specs = ambients[name]
+        for spec in specs:
+            for H in regular_subgroups(A, spec):
+                elements = H.elements()
+                built = PermGroup(A.degree, elements)
+                assert H.order == built.order == A.degree
+                assert H.generators == built.generators
+                assert all(H.contains(g) for g in built.elements())
+                outside = next(g for g in A.elements()
+                               if not built.contains(g))
+                assert not H.contains(outside)
 
 
 SMALL_SPECS = [GroupSpec.cyclic(4), GroupSpec.elementary_abelian_2(2),

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -184,6 +185,25 @@ class TestClosure:
         assert code == 0
         assert payload["closure"]["order"] == 479001600
         assert not payload["is_k_closed"]
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--fixture", "m12.json", "--k", "2"],
+         "ca3b77e1752a9de3052eecbff90990abdb48a56c6860bd61b6c88528a2534814"),
+        (["--fixture", "m12.json", "--k", "3"],
+         "b49fdc5d748eb6867a131d56e3dfbea5c5ca791555fe5de2c2140ddc3e7cfecf"),
+        (["--spec", "dihedral(12)", "--k", "3"],
+         "533629881aeeac89b63ba20b3cd08e0686255af7c3369ad4b3770e7a09910975"),
+        (["--spec", "frobenius(7,3)", "--k", "2"],
+         "5f1961f1192df1612f9e589ca772ab790775c934677ea896cdfa6f1f9fb469ea"),
+    ], ids=["m12-k2", "m12-k3", "dihedral12-k3", "frobenius7_3-k2"])
+    def test_output_is_pinned(self, capsys, monkeypatch, argv, digest):
+        # the closure's generators come from the automorphism search, so
+        # the whole output pins its search order; the fixture is named
+        # relative to its own directory, which the output echoes
+        monkeypatch.chdir(os.path.dirname(M12))
+        assert main(["closure"] + argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCiCheck:

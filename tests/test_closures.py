@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cayleykit import closures
 from cayleykit.closures import (DEGREE_BUDGET, BudgetExceededError,
-                                ColoredStructure, _point_invariants,
-                                _tuple_action_table, automorphisms,
+                                ColoredStructure, _tuple_codes, automorphisms,
                                 brute_force_automorphisms, is_automorphism,
                                 is_k_closed, k_closure, orbit_coloring)
 from cayleykit.perm import PermGroup, Permutation
@@ -19,36 +18,9 @@ def regular(spec):
     return regular_representation(spec, "left").group
 
 
-def reference_point_invariants(S):
-    """Refinement over decoded tuples with (pos, color, classes) keys."""
-    n, k = S.degree, S.arity
-    colors = S.colors
-    classes = [0] * n
-    tuples = [S.decode(t) for t in range(n ** k)]
-    while True:
-        sigs = [[] for _ in range(n)]
-        for idx, tup in enumerate(tuples):
-            key = (colors[idx],) + tuple(classes[x] for x in tup)
-            for pos, x in enumerate(tup):
-                sigs[x].append((pos,) + key)
-        canon = [tuple(sorted(s)) for s in sigs]
-        order = sorted(set(canon))
-        new = [order.index(c) for c in canon]
-        if new == classes:
-            return classes
-        classes = new
-
-
 def reference_is_automorphism(S, p):
     return all(S.colors[S.encode(tuple(p(x) for x in S.decode(t)))] == c
                for t, c in enumerate(S.colors))
-
-
-def partition(classes):
-    cells = {}
-    for x, c in enumerate(classes):
-        cells.setdefault(c, []).append(x)
-    return sorted(cells.values())
 
 
 def random_coloring(rng, n, k, num_colors):
@@ -110,37 +82,9 @@ class TestKernels:
         for n, k in [(1, 3), (2, 1), (4, 2), (5, 3), (7, 3)]:
             S = ColoredStructure(n, k, [0] * n ** k)
             g = Permutation(rng.sample(range(n), n))
-            table = _tuple_action_table(g, n, k)
+            table = list(_tuple_codes(g.images, n, k))
             assert table == [S.encode(tuple(g(x) for x in S.decode(i)))
                              for i in range(n ** k)]
-
-    def test_point_invariants_match_reference(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            n, k = rng.randint(1, 7), rng.choice((1, 2, 3))
-            kind = rng.randrange(3)
-            if kind == 0:
-                S = random_coloring(rng, n, k, rng.randint(1, 3))
-            elif kind == 1:
-                labels = [rng.randrange(3) for _ in range(n)]
-                S = labeled_coloring(rng, n, k, labels)
-            else:
-                # one marked tuple: only its own positions tell points apart
-                colors = [0] * n ** k
-                colors[rng.randrange(n ** k)] = 1
-                S = ColoredStructure(n, k, colors)
-            assert partition(_point_invariants(S)) \
-                == partition(reference_point_invariants(S))
-
-    @pytest.mark.parametrize("k,marked", [(2, (0, 1)), (3, (0, 1, 0)),
-                                          (3, (2, 0, 1))])
-    def test_point_invariants_split_classes(self, k, marked):
-        # the points differ only through the one tuple with color 1
-        S = ColoredStructure(3, k, [0] * 3 ** k)
-        colors = list(S.colors)
-        colors[S.encode(marked)] = 1
-        S = ColoredStructure(3, k, colors)
-        assert partition(_point_invariants(S)) == [[0], [1], [2]]
 
     def test_is_automorphism_matches_reference(self):
         rng = random.Random(9)
@@ -152,6 +96,51 @@ class TestKernels:
                 p = Permutation(rng.sample(range(n), n))
                 assert is_automorphism(S, p) \
                     == reference_is_automorphism(S, p)
+
+
+def reference_orbit_coloring(n, k, gens):
+    """Orbit colors by breadth-first search over decoded tuples, numbered
+    in order of first occurrence."""
+    color = {}
+    for start in itertools.product(range(n), repeat=k):
+        if start in color:
+            continue
+        c = color[start] = len(set(color.values()))
+        queue = [start]
+        for t in queue:
+            for g in gens:
+                image = tuple(g[x] for x in t)
+                if image not in color:
+                    color[image] = c
+                    queue.append(image)
+    return tuple(color[t] for t in itertools.product(range(n), repeat=k))
+
+
+@st.composite
+def generator_sets(draw):
+    """Up to three permutations that each keep the cells of a random
+    partition of the points, so trivial and intransitive groups occur."""
+    n = draw(st.integers(0, 7))
+    cells = {}
+    for x in range(n):
+        cells.setdefault(draw(st.integers(0, 2)), []).append(x)
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        images = list(range(n))
+        for cell in cells.values():
+            for x, y in zip(cell, draw(st.permutations(cell))):
+                images[x] = y
+        gens.append(Permutation(images))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets(), st.sampled_from((1, 2, 3)))
+def test_orbit_coloring_matches_reference(group, k):
+    n, gens = group
+    S = orbit_coloring(PermGroup(n, gens), k)
+    assert S.colors == reference_orbit_coloring(n, k,
+                                                [g.images for g in gens])
 
 
 @st.composite
@@ -218,6 +207,10 @@ class TestAutomorphisms:
                             lambda S, p: p.images in keep)
         with pytest.raises(RuntimeError, match="generate 3"):
             brute_force_automorphisms(ColoredStructure(4, 1, [0] * 4))
+
+    def test_degree_zero(self):
+        for k in (1, 2, 3):
+            assert automorphisms(ColoredStructure(0, k, [])).order == 1
 
     def test_elements_are_automorphisms(self):
         S = orbit_coloring(regular(GroupSpec.q8()), 2)
