@@ -13,7 +13,7 @@ import sys
 import time
 
 from .ci import TowerResult, babai_check, block_tower_search
-from .closures import BudgetExceededError, k_closure
+from .closures import BudgetExceededError, check_budget, k_closure
 from .perm import CapExceededError, PermGroup
 from .repro import CLAIMS, run_claim
 from .zoo import SPEC_PARAMS, GroupSpec, inner_holomorph, regular_representation
@@ -44,12 +44,16 @@ def parse_spec(text):
     return spec
 
 
-def _load_group(path):
+def _load_group(path, k=None):
+    """The group in a JSON file.  With an arity k, a degree over the
+    k-closure budget is refused before any stabilizer chain is built."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object with degree and "
                          "generators")
+    if k is not None and isinstance(data.get("degree"), int):
+        check_budget(data["degree"], k)
     return PermGroup.from_json(data)
 
 
@@ -80,10 +84,11 @@ def cmd_construct(args):
 
 def cmd_closure(args):
     if args.fixture is not None:
-        G = _load_group(args.fixture)
+        G = _load_group(args.fixture, args.k)
         source = {"fixture": args.fixture}
     else:
         spec = parse_spec(args.spec)
+        check_budget(spec.size, args.k)
         G = regular_representation(spec, "left").group
         source = {"spec": spec.to_json()}
     C = k_closure(G, args.k)

@@ -74,7 +74,8 @@ class ColoredStructure:
         return cls(data["degree"], data["arity"], data["colors"])
 
 
-def _check_budget(n, k):
+def check_budget(n, k):
+    """Refuse an arity other than 1, 2 or 3, or a degree over its budget."""
     if k not in DEGREE_BUDGET:
         raise ValueError("arity must be 1, 2 or 3")
     if n > DEGREE_BUDGET[k]:
@@ -134,7 +135,7 @@ def _orbit_labels(gens, n, k):
 def orbit_coloring(G, k):
     """Color two k-tuples alike iff they lie in one G-orbit."""
     n = G.degree
-    _check_budget(n, k)
+    check_budget(n, k)
     return ColoredStructure(
         n, k, _orbit_labels([g.images for g in G.generators], n, k))
 
@@ -164,7 +165,7 @@ def automorphisms(S):
     the orbits of the automorphism group.
     """
     n, k = S.degree, S.arity
-    _check_budget(n, k)
+    check_budget(n, k)
     colors = S.colors
     # (x, ..., x) is encoded as x * (1 + n + ... + n^(k-1))
     diagonal = sum(n ** i for i in range(k))

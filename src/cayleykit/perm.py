@@ -222,18 +222,39 @@ class _Chain:
         return g, len(self.base)
 
     def _close(self):
+        """Schreier-Sims: sift the Schreier generators of each level i
+        through the levels after it, restarting at the level a non-trivial
+        residue sticks at.
+
+        A Schreier generator sifted at level i lies in the group of strong
+        generators fixing base[:i + 1]: it sifted to the identity, or its
+        residue joined them.  That group only grows, and level i is checked
+        only while every level after it is complete, so the generator would
+        sift to the identity whenever met again.  It is kept in `proven[i]`
+        and never sifted twice.
+        """
+        proven = {}
         i = len(self.base) - 1
         while i >= 0:
             self._recompute(i)
             t = self.transversals[i]
             gens = self._level_gens(i)
+            known = proven.setdefault(i, set())
+            inverses = {}
             dirty_level = None
             for x in sorted(t):
                 tx = t[x]
                 for s in gens:
-                    sg = t[s(x)].inverse() * (s * tx)
-                    if sg.is_identity():
+                    y = s(x)
+                    stx = s * tx
+                    if stx.images == t[y].images:
+                        continue  # u_y^-1 s u_x is the identity
+                    if y not in inverses:
+                        inverses[y] = t[y].inverse()
+                    sg = inverses[y] * stx
+                    if sg.images in known:
                         continue
+                    known.add(sg.images)
                     residue, j = self.strip(sg, i + 1)
                     if not residue.is_identity():
                         self.strong.append(residue)

@@ -7,6 +7,7 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cayleykit import perm
 from cayleykit.cli import main, parse_spec
 from cayleykit.perm import PermGroup
 from cayleykit.zoo import SPEC_PARAMS, GroupSpec
@@ -143,6 +144,23 @@ class TestClosure:
     def test_budget_exit_code(self, capsys):
         code, _ = run(capsys, "closure", "--spec", "cyclic(33)", "--k", "1")
         assert code == 3
+
+    def test_fixture_over_budget_builds_no_chain(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # S_120 is refused at k = 3 before its chain, which alone would
+        # run for minutes, is built
+        n = 120
+        path = tmp_path / "s120.json"
+        path.write_text(json.dumps({"degree": n, "generators": [
+            [1, 0] + list(range(2, n)), list(range(1, n)) + [0]]}))
+
+        def no_chain(*args):
+            raise AssertionError("a stabilizer chain was built")
+
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        code, payload = usage_error(capsys, "closure", "--fixture",
+                                    str(path), "--k", "3")
+        assert code == 3 and list(payload) == ["error"]
 
     def test_fixture_input(self, capsys, tmp_path):
         path = write_group_file(tmp_path, "z4.json", GroupSpec.cyclic(4))

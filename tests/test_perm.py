@@ -1,15 +1,23 @@
 import argparse
+import hashlib
 import inspect
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cayleykit
 from cayleykit.cli import build_parser
-from cayleykit.perm import (CapExceededError, PermGroup, Permutation,
+from cayleykit.closures import k_closure
+from cayleykit.perm import (CapExceededError, PermGroup, Permutation, _Chain,
                             element_mapping_points, is_normal_in, normalizer,
                             orbit, pointwise_stabilizer, prime_factors,
                             sylow_subgroup)
+from cayleykit.zoo import GroupSpec, inner_holomorph
+
+M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
+                   "fixtures", "m12.json")
 
 
 def perm(*cycles, n):
@@ -262,3 +270,135 @@ def test_unchecked_products_are_permutations(pair, k):
         assert type(result.images) is tuple
         assert all(type(x) is int for x in result.images)
         assert result == Permutation(list(result.images))
+
+
+class _ReferenceChain(_Chain):
+    """The reference Schreier-Sims whose chains `_Chain` must build: it
+    sifts every Schreier generator and inverts transversal elements anew."""
+
+    def _recompute(self, i):
+        b = self.base[i]
+        gens = self._level_gens(i)
+        t = {b: self.identity}
+        frontier = [b]
+        while frontier:
+            new = []
+            for x in frontier:
+                tx = t[x]
+                for s in gens:
+                    y = s(x)
+                    if y not in t:
+                        t[y] = s * tx
+                        new.append(y)
+            frontier = sorted(new)
+        self.transversals[i] = t
+
+    def strip(self, g, start=0):
+        """Sift g through levels >= start; returns (residue, stuck_level)."""
+        for j in range(start, len(self.base)):
+            x = g(self.base[j])
+            t = self.transversals[j]
+            if x not in t:
+                return g, j
+            g = t[x].inverse() * g
+        return g, len(self.base)
+
+    def _close(self):
+        i = len(self.base) - 1
+        while i >= 0:
+            self._recompute(i)
+            t = self.transversals[i]
+            gens = self._level_gens(i)
+            dirty_level = None
+            for x in sorted(t):
+                tx = t[x]
+                for s in gens:
+                    sg = t[s(x)].inverse() * (s * tx)
+                    if sg.is_identity():
+                        continue
+                    residue, j = self.strip(sg, i + 1)
+                    if not residue.is_identity():
+                        self.strong.append(residue)
+                        if j == len(self.base):
+                            self._new_base_point(residue)
+                        dirty_level = j
+                        break
+                if dirty_level is not None:
+                    break
+            if dirty_level is None:
+                i -= 1
+            else:
+                i = dirty_level
+
+
+def chain_key(chain):
+    """The base, the strong generators in order and every transversal."""
+    return [list(chain.base), [list(s.images) for s in chain.strong],
+            [[[x, list(t[x].images)] for x in sorted(t)]
+             for t in chain.transversals]]
+
+
+@st.composite
+def chain_inputs(draw):
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(list(range(n))),
+                         min_size=1, max_size=4))
+    hint = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    return n, [Permutation(g) for g in gens], tuple(hint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chain_inputs())
+def test_schreier_sims_builds_the_reference_chain(case):
+    n, gens, hint = case
+    assert chain_key(_Chain.schreier_sims(n, gens, hint)) \
+        == chain_key(_ReferenceChain.schreier_sims(n, gens, hint))
+
+
+def _wreath(m, k):
+    """S_m wr S_k on m*k points, blocks {0..m-1}, {m..2m-1}, ..."""
+    n = m * k
+    swap = list(range(n))
+    for i in range(m):
+        swap[i], swap[m + i] = m + i, i
+    return PermGroup(n, [perm((0, 1), n=n), perm(tuple(range(m)), n=n),
+                         Permutation(swap),
+                         Permutation([(x + m) % n for x in range(n)])])
+
+
+def _m12():
+    with open(M12) as fh:
+        return PermGroup.from_json(json.load(fh))
+
+
+def test_chain_corpus_is_pinned():
+    # the chains decide elements() order and so every representative
+    # regular_subgroups returns; the digest is that of _ReferenceChain
+    c2_x_d4 = GroupSpec.direct_product([GroupSpec.cyclic(2),
+                                        GroupSpec.dihedral(4)])
+    corpus = [PermGroup.symmetric(8),
+              PermGroup(9, [perm((0, 1, 2), n=9),
+                            perm(tuple(range(9)), n=9)]),
+              _wreath(4, 3), _m12(),
+              inner_holomorph(GroupSpec.frobenius(7, 3)),
+              k_closure(inner_holomorph(c2_x_d4), 3)]
+    assert [G.order for G in corpus] \
+        == [40320, 181440, 82944, 95040, 441, 128]
+    text = json.dumps([chain_key(G._chain) for G in corpus])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "71dc4faf31ec85448f4de7410fd5c512ff0bb25d75e1548785ee61a1edac0640")
+
+
+@pytest.mark.parametrize("build", [lambda: PermGroup.symmetric(12), _m12],
+                         ids=["s12", "m12"])
+def test_no_schreier_generator_is_sifted_twice(monkeypatch, build):
+    sifts = []
+    strip = _Chain.strip
+
+    def recorded(self, g, start=0):
+        sifts.append((start, g.images))
+        return strip(self, g, start)
+
+    monkeypatch.setattr(_Chain, "strip", recorded)
+    build()
+    assert sifts and len(set(sifts)) == len(sifts)
