@@ -86,12 +86,17 @@ class BlockSystem:
         return cls(data["degree"], data["blocks"])
 
 
-def _join(G, cells):
-    """The finest G-invariant partition with each of the point sets cells
-    inside one cell.  Each merge of two classes queues the images of the
-    merged pair under every generator."""
+def _join(G, pair, cells=()):
+    """The finest G-invariant partition coarser than the G-invariant
+    partition into the sorted cells (the singletons by default) with the
+    two points of pair in one cell.  Each merge of two classes queues the
+    images of the merged pair under every generator; pairs inside one of
+    the cells need none, as G maps them into one cell already."""
     n = G.degree
     parent = list(range(n))
+    for cell in cells:
+        for x in cell:
+            parent[x] = cell[0]
 
     def find(x):
         while parent[x] != x:
@@ -99,9 +104,8 @@ def _join(G, cells):
             x = parent[x]
         return x
 
-    # the loop appends to the list it reads
-    queue = [(cell[0], x) for cell in cells for x in cell[1:]]
-    for a, b in queue:
+    queue = [pair]
+    for a, b in queue:  # the loop appends to the list it reads
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -118,7 +122,7 @@ def minimal_block_containing(G, a, b):
         raise ValueError("group must be transitive")
     if a == b:
         raise ValueError("points must be distinct")
-    return _join(G, [(a, b)])
+    return _join(G, (a, b))
 
 
 def refines(B, C):
@@ -146,7 +150,7 @@ def all_block_systems(G):
     queue = [finest]
     for bs in queue:  # the loop appends to the list it reads
         for cell in bs.blocks[1:]:  # blocks[0] holds 0
-            join = _join(G, bs.blocks + ((0, cell[0]),))
+            join = _join(G, (0, cell[0]), bs.blocks)
             if join not in found:
                 found.add(join)
                 queue.append(join)
@@ -233,14 +237,16 @@ def block_restriction(G, B):
     B = tuple(sorted(B))
     Bset = set(B)
     relabel = {x: i for i, x in enumerate(B)}
-    gens = []
+    H = PermGroup.trivial(len(B))
     for g in G.elements():
         image = {g(x) for x in B}
         if image == Bset:
-            gens.append(Permutation(relabel[g(x)] for x in B))
+            h = Permutation(relabel[g(x)] for x in B)
+            if not H.contains(h):
+                H = PermGroup(len(B), H.generators + (h,))
         elif image & Bset:
             raise ValueError("B is not a block of G")
-    return PermGroup(len(B), gens)
+    return H
 
 
 def classify_block_system(G, partition):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
@@ -66,10 +67,11 @@ def _element_keys(H):
 
 
 def _conjugate_key(key, pair):
-    """The element keys of c^-1 H c, for H given by its element keys."""
-    c, cinv = pair[0].images, pair[1].images
-    # (c^-1 h c)(x) = c^-1(h(c(x)))
-    return frozenset(tuple([cinv[h[x]] for x in c]) for h in key)
+    """The element keys of c^-1 H c, for H given by its element keys;
+    c is not the identity, so its degree is at least 2."""
+    at_c, cinv = itemgetter(*pair[0].images), pair[1].images
+    # (c^-1 h c)(x) = c^-1(h(c(x))): gather h at c, then c^-1 at that
+    return frozenset(itemgetter(*at_c(h))(cinv) for h in key)
 
 
 def _breadth_first(start, gens, act, identity):
@@ -128,35 +130,62 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
     return found
 
 
+def _semiregular_order(images):
+    """The length of the cycles of a permutation of degree >= 1 when they
+    all have one length, else 0."""
+    seen = bytearray(len(images))
+    o, x = 1, images[0]
+    while x != 0:
+        seen[x] = 1
+        o, x = o + 1, images[x]
+    for start in range(1, len(images)):
+        if seen[start]:
+            continue
+        k, x = 1, images[start]
+        while x != start:
+            seen[x] = 1
+            k, x = k + 1, images[x]
+        if k != o:
+            return 0
+    return o
+
+
 def regular_subgroups(A, spec):
     """Conjugacy class representatives of regular subgroups of A
     isomorphic to the given abstract group, in depth-first discovery order.
 
     A regular subgroup holds exactly one element sending the base point 0
-    to each point y, so it is stored as a map y -> element.  The search
-    picks, for the least point y not yet reached, each element of A with
-    g(0) = y whose order occurs in the group, and adds it to the chosen
-    generators.  A subgroup is the closure of its generators under right
-    multiplication, so the closure grows incrementally: every old element
-    times the new generator, then every new element times every
-    generator, until nothing new appears.  Two elements with one image
-    of 0, or more elements of some order than the group has, end the
-    branch.  Each complete assignment is a subgroup, keyed by its element
-    set.  Only a key outside the conjugacy classes already decided goes
-    to the isomorphism test, on its product table; its class is then
-    decided, and only an accepted key gets a stabilizer chain, built on
-    the known base [0] without Schreier-Sims.
+    to each point y, so it is stored as a map y -> element.  Each of its
+    elements is semiregular: all its cycles have one length, its order.
+    So the only candidates are the elements of A whose cycles all have
+    one length that occurs as an order in the group.  The search picks,
+    for the least point y not yet reached, each candidate with g(0) = y,
+    and adds it to the chosen generators.  A subgroup is the closure of
+    its generators under right multiplication, so the closure grows
+    incrementally: every old element times the new generator, then every
+    new element times every generator, until nothing new appears.  Two
+    elements with one image of 0, a product that is no candidate, or more
+    elements of some order than the group has, end the branch.  Each
+    complete assignment is a subgroup, keyed by its element set.  A
+    branch cut for a non-candidate holds no complete assignment, so the
+    search meets the same subgroups in the same order as one over every
+    element of A would, and keeps the same representatives.  Only a key
+    outside the conjugacy classes already decided goes to the isomorphism
+    test, on its product table; its class is then decided, and only an
+    accepted key gets a stabilizer chain, built on the known base [0]
+    without Schreier-Sims.
     """
     n = A.degree
     if n != spec.size:
         raise ValueError("degree of A must equal the order of the spec")
     hist = spec.order_histogram()
-    orders = {}
+    orders = {}  # candidate images -> order
     by_image = {y: [] for y in range(n)}
     for g in A.elements():
-        o = orders[g.images] = g.order()
+        o = _semiregular_order(g.images)
         if hist.get(o, 0) > 0:
-            by_image[g(0)].append(g)
+            orders[g.images] = o
+            by_image[g.images[0]].append(g)
     conj_gens = [(g, g.inverse()) for g in A.generators]
     is_spec = isomorphism_test(cayley_table(
         regular_representation(spec, "left").group))
@@ -178,7 +207,9 @@ def regular_subgroups(A, spec):
             w = p.images[0]
             cur = assigned.get(w)
             if cur is None:
-                o = orders[p.images]
+                o = orders.get(p.images)
+                if o is None:
+                    return None
                 c = counts.get(o, 0) + 1
                 if c > hist.get(o, 0):
                     return None
@@ -286,6 +317,11 @@ def align_sylow_orbits(R, T, p):
     ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
     if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
+    return _align_sylow_orbits(R, T, p, ambient)
+
+
+def _align_sylow_orbits(R, T, p, ambient):
+    """align_sylow_orbits on checked input, ambient being <R, T>."""
     PR = _orbit_partition(sylow_subgroup(R, p))
     PT = _orbit_partition(sylow_subgroup(T, p))
     # orbits of (T_p)^d are d^-1 applied to the orbits of T_p
@@ -337,15 +373,15 @@ def _two_group_chain(J):
                      for s in _two_group_chain(act.group)]
 
 
-def _two_group_tail(R, T, transcript):
+def _two_group_tail(R, T, ambient, transcript):
     """Conjugate T into a common Sylow 2-subgroup with R and chain down.
 
-    Returns (conjugator, proper systems ascending) for the 2-group pair.
+    Returns (conjugator, proper systems ascending) for the 2-group pair;
+    ambient is <R, T>.
     """
     n = R.degree
     if n == 1:
         return Permutation.identity(1), []
-    ambient = PermGroup(n, list(R.generators) + list(T.generators))
     if _is_power_of(ambient.order, 2):
         d = Permutation.identity(n)
     else:
@@ -361,23 +397,30 @@ def _two_group_tail(R, T, transcript):
             raise RuntimeError("no conjugate of T inside the chosen Sylow")
         transcript.append({"event": "two_group_conjugated",
                            "conjugator": list(d.images)})
-    dinv = d.inverse()
-    J = PermGroup(n, list(R.generators)
-                  + [dinv * g * d for g in T.generators])
-    return d, _two_group_chain(J)
+    return d, _two_group_chain(_conjugate_pair(R, T, d, ambient)[1])
 
 
-def _quotient_pair(R, T, bs):
-    """Images of R and T on the blocks of a shared system."""
-    ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
-    act = action_on_blocks(ambient, bs)
+def _conjugate_pair(R, T, c, ambient):
+    """T's generators conjugated by c, and <R, T^c> on R's generators and
+    those; ambient is <R, T>, which is <R, T^c> when c is the identity."""
+    if c.is_identity():
+        return list(T.generators), ambient
+    cinv = c.inverse()
+    gens = [cinv * g * c for g in T.generators]
+    return gens, PermGroup(R.degree, list(R.generators) + gens)
+
+
+def _quotient_pair(joint, R, Tgens, bs):
+    """Images of R and of the group Tgens generate on the blocks of a
+    system of joint, their joint group."""
+    act = action_on_blocks(joint, bs)
     RB = PermGroup(len(bs.blocks), [act.image(g) for g in R.generators])
-    TB = PermGroup(len(bs.blocks), [act.image(g) for g in T.generators])
+    TB = PermGroup(len(bs.blocks), [act.image(g) for g in Tgens])
     return act, RB, TB
 
 
-def _descend(R, T, transcript):
-    """Recursive tower construction.
+def _descend(R, T, ambient, transcript):
+    """Recursive tower construction; ambient is <R, T>.
 
     Returns (conjugator c, proper nontrivial systems of <R, T^c>
     ascending, exceptional tag or None).
@@ -387,10 +430,10 @@ def _descend(R, T, transcript):
         return Permutation.identity(n), [], None
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
     if not odd:
-        d, chain = _two_group_tail(R, T, transcript)
+        d, chain = _two_group_tail(R, T, ambient, transcript)
         return d, chain, None
     p = odd[0]
-    delta = align_sylow_orbits(R, T, p)
+    delta = _align_sylow_orbits(R, T, p, ambient)
     if delta is not None:
         base = _orbit_partition(sylow_subgroup(R, p))
         tag = None
@@ -398,12 +441,13 @@ def _descend(R, T, transcript):
                            "block_size": base.block_size})
     else:
         transcript.append({"event": "alignment_failed", "prime": p})
-        delta, base, tag = _exceptional_descent(R, T, transcript)
+        delta, base, tag = _exceptional_descent(ambient, transcript)
         if delta is None:
             return None, None, None
-    T1 = T.conjugate(delta)
-    act, RB, TB = _quotient_pair(R, T1, base)
-    cq, subtower, subtag = _descend(RB, TB, transcript)
+    Tgens, joint = _conjugate_pair(R, T, delta, ambient)
+    act, RB, TB = _quotient_pair(joint, R, Tgens, base)
+    # act.group has RB's and TB's generators: it is <RB, TB>
+    cq, subtower, subtag = _descend(RB, TB, act.group, transcript)
     if cq is None:
         return None, None, None
     lift = act.preimage(cq)
@@ -414,10 +458,9 @@ def _descend(R, T, transcript):
     return total, tower, tag or subtag
 
 
-def _exceptional_descent(R, T, transcript):
+def _exceptional_descent(joint, transcript):
     """Fallback when no odd-prime alignment exists: a normal block system
-    of <R, T> itself, with blocks of size 4, then 2."""
-    joint = PermGroup(R.degree, list(R.generators) + list(T.generators))
+    of joint = <R, T> itself, with blocks of size 4, then 2."""
     systems = all_block_systems(joint)
     for size in (4, 2):
         for bs in systems:
@@ -425,7 +468,7 @@ def _exceptional_descent(R, T, transcript):
                     and classify_block_system(joint, bs)["is_normal"]):
                 transcript.append({"event": "exceptional_aligned",
                                    "block_size": size})
-                return (Permutation.identity(R.degree), bs,
+                return (Permutation.identity(joint.degree), bs,
                         "exceptional_block_%d" % size)
     transcript.append({"event": "exceptional_failed"})
     return None, None, None
@@ -451,16 +494,14 @@ def block_tower_search(R, T):
     if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
     transcript = []
-    c, tower, tag = _descend(R, T, transcript)
+    c, tower, tag = _descend(R, T, ambient, transcript)
     if c is None:
         return {"status": "failure", "transcript": transcript}
     n = R.degree
     full = [BlockSystem.singletons(n)] + tower
     if n > 1:  # on one point the singletons are already the one block
         full.append(BlockSystem.one_block(n))
-    joint = PermGroup(n, list(R.generators)
-                      + [g for g in T.conjugate(c).generators])
-    check = verify_tower(joint, full)
+    check = verify_tower(_conjugate_pair(R, T, c, ambient)[1], full)
     if not (check["m_step"] and check["normal"]):
         return {"status": "failure", "transcript": transcript,
                 "verify": check}

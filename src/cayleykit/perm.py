@@ -7,6 +7,7 @@ and conjugation is ``h^c = c^-1 h c``.
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 
 # Operations that touch every group element refuse groups larger than this.
 BRUTE_FORCE_CAP = 10**6
@@ -65,11 +66,14 @@ class Permutation:
         return self.images[x]
 
     def __mul__(self, other):
-        """Composition: (p * q)(x) = p(q(x))."""
-        if self.degree != other.degree:
+        """Composition: (p * q)(x) = p(q(x)), gathered in one C call."""
+        im, at = self.images, other.images
+        if len(im) != len(at):
             raise ValueError("degree mismatch")
-        im = self.images
-        return _unchecked(tuple([im[x] for x in other.images]))
+        if len(at) > 1:
+            return _unchecked(itemgetter(*at)(im))
+        # itemgetter() cannot be built, and itemgetter(0) returns an int
+        return _unchecked(tuple([im[x] for x in at]))
 
     def inverse(self):
         inv = [0] * len(self.images)

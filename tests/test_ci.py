@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from cayleykit import perm
 from cayleykit.blocks import (BlockSystem, all_block_systems,
                               classify_block_system)
-from cayleykit.ci import (CiVerdict, TowerResult, align_sylow_orbits,
-                          are_conjugate_subgroups, babai_check,
+from cayleykit.ci import (CiVerdict, TowerResult, _semiregular_order,
+                          align_sylow_orbits, are_conjugate_subgroups,
+                          babai_check,
                           block_tower_search, canonical_ratio_patterns,
                           holomorph_witness, partition_transporter,
                           regular_subgroups)
@@ -122,6 +123,33 @@ def test_conjugacy_matches_brute_force(case):
         assert tried == A.order // normalizer
 
 
+@st.composite
+def cycle_types(draw):
+    """A permutation of degree 1 to 12, half the time with every cycle of
+    one drawn length."""
+    n = draw(st.integers(1, 12))
+    points = draw(st.permutations(range(n)))
+    if not draw(st.booleans()):
+        return Permutation(points)
+    k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    images = list(range(n))
+    for i in range(0, n, k):
+        cyc = points[i:i + k]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            images[a] = b
+    return Permutation(images)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_types())
+def test_semiregular_order_matches_cycle_lengths(g):
+    n = g.degree
+    fixed = [(x,) for x in range(n) if g(x) == x]
+    lengths = {len(c) for c in g.cycles() + fixed}
+    want = g.order() if len(lengths) == 1 else 0
+    assert _semiregular_order(g.images) == want
+
+
 class TestRegularSubgroups:
     def test_self_class(self):
         R = regular(GroupSpec.cyclic(6))
@@ -169,6 +197,19 @@ class TestRegularSubgroups:
         digest = hashlib.sha256(json.dumps(gens).encode()).hexdigest()
         assert digest == ("7dc0720d0a68a798586f4020459ff690"
                           "b05b2749123dc29b2b3bf12bc6b16299")
+
+    def test_babai_representatives_are_pinned(self):
+        # the Frobenius inner holomorphs of the conjugacy benchmark: the
+        # representatives, and so the search order, must not change
+        gens = []
+        for p, n in ((13, 4), (7, 3), (5, 4)):
+            spec = GroupSpec.frobenius(p, n)
+            reps = regular_subgroups(inner_holomorph(spec), spec)
+            assert len(reps) == 4
+            gens.append([[g.to_json() for g in H.generators] for H in reps])
+        digest = hashlib.sha256(json.dumps(gens).encode()).hexdigest()
+        assert digest == ("c538ae2beff100e26858b8312c6965e7"
+                          "f04d2e9150c0052365743babf88bab00")
 
     def test_c2_x_d4_row_builds_one_chain(self, monkeypatch):
         # the representatives take their chains from the known base [0];
@@ -407,6 +448,22 @@ class TestTowerSearch:
         for bs in res.tower[1:-1]:
             v = classify_block_system(joint, bs)
             assert v["is_block_system"] and v["is_normal"]
+
+    def test_joint_group_is_built_once(self, monkeypatch):
+        # <R, T> is built for the cap check and reused by the descent
+        R, W = dic3_partition_stabilizer()
+        T = R.conjugate(W.generators[-1] * W.generators[0])
+        joint = tuple(sorted(set(R.generators) | set(T.generators)))
+        builds = []
+        init = PermGroup.__init__
+
+        def counted(self, degree, generators):
+            init(self, degree, generators)
+            builds.append(self.generators)
+
+        monkeypatch.setattr(PermGroup, "__init__", counted)
+        assert isinstance(block_tower_search(R, T), TowerResult)
+        assert builds.count(joint) == 1
 
     def test_rejects_outside_family(self):
         R = regular(GroupSpec.cyclic(9))

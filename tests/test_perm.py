@@ -254,7 +254,7 @@ def test_orbit_matches_fixed_point_closure(case):
 
 @st.composite
 def permutation_pairs(draw):
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(0, 9))
     p, q = (draw(st.permutations(list(range(n)))) for _ in range(2))
     return Permutation(p), Permutation(q)
 
@@ -270,6 +270,18 @@ def test_unchecked_products_are_permutations(pair, k):
         assert type(result.images) is tuple
         assert all(type(x) is int for x in result.images)
         assert result == Permutation(list(result.images))
+
+
+def test_products_of_degree_0_and_1_are_tuples():
+    # products gather images in one C call, except at degree 0 (no index
+    # to gather) and 1 (a single index gathers an int, not a tuple)
+    for n in (0, 1):
+        e = Permutation(range(n))
+        assert (e * e).images == tuple(range(n))
+        assert (e ** 3).images == tuple(range(n))
+        assert (e * e) == e
+    with pytest.raises(ValueError):
+        Permutation([0]) * Permutation([])
 
 
 class _ReferenceChain(_Chain):
