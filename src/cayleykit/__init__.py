@@ -8,7 +8,7 @@ cli (command-line surface).
 
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, is_normal_in, normalizer, orbit,
-                   pointwise_stabilizer, sylow_subgroup)
+                   sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      all_block_systems, block_restriction,
                      classify_block_system, fix_blocks,

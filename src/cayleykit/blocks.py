@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .perm import (PermGroup, Permutation, element_mapping_points,
-                   pointwise_stabilizer)
+from .perm import PermGroup, Permutation, _Chain, orbit
 
 
 class BlockSystem:
@@ -68,6 +67,8 @@ class BlockSystem:
         return f"BlockSystem({self.degree}, {[list(b) for b in self.blocks]})"
 
     def is_invariant_under(self, G):
+        if G.degree != self.degree:
+            raise ValueError("degree mismatch")
         cellset = set(self.blocks)
         return all(tuple(sorted(g(x) for x in cell)) in cellset
                    for g in G.generators for cell in self.blocks)
@@ -169,18 +170,11 @@ def pullback_system(quotient_bs, bs):
 
 
 def fix_blocks(G, bs):
-    """The kernel of G's action on the blocks of bs.
-
-    Computed as a pointwise stabilizer in the combined points+blocks
-    action, so no element of G is enumerated.
-    """
+    """The kernel of G's action on the blocks of bs; no element of G is
+    enumerated."""
     if not bs.is_invariant_under(G):
         raise ValueError("partition is not invariant under G")
-    combined = _combined_action(G, bs)
-    n = G.degree
-    block_pts = list(range(n, n + len(bs.blocks)))
-    stab = pointwise_stabilizer(combined, block_pts)
-    return PermGroup(n, [Permutation(g.images[:n]) for g in stab.generators])
+    return PermGroup(G.degree, _kernel_generators(G, bs))
 
 
 def _block_image(p, bs, idx):
@@ -188,15 +182,26 @@ def _block_image(p, bs, idx):
     return Permutation(idx[p(cell[0])] for cell in bs.blocks)
 
 
-def _combined_action(G, bs):
-    """G acting simultaneously on points and on shifted block indices."""
-    n = G.degree
+def _points_and_blocks_chain(G, bs):
+    """The stabilizer chain of G acting on its n points and, as points
+    n, n + 1, ..., on the blocks of bs, with the block points first in
+    the base.  Its strong generators fixing the first len(bs) base points
+    generate the kernel on the blocks, and an element with given images
+    of those base points is an element with a given action on the
+    blocks."""
+    n, m = G.degree, len(bs.blocks)
     idx = bs.block_index_of()
-    gens = []
-    for g in G.generators:
-        tail = [n + x for x in _block_image(g, bs, idx).images]
-        gens.append(Permutation(list(g.images) + tail))
-    return PermGroup(n + len(bs.blocks), gens)
+    gens = [Permutation(g.images + tuple(n + x for x in
+                                         _block_image(g, bs, idx).images))
+            for g in G.generators]
+    return _Chain.schreier_sims(n + m, gens, base_hint=range(n, n + m))
+
+
+def _kernel_generators(G, bs):
+    """Generators of the kernel of G on the blocks of its system bs."""
+    chain = _points_and_blocks_chain(G, bs)
+    return [Permutation(s.images[:G.degree])
+            for s in chain._level_gens(len(bs.blocks))]
 
 
 class BlockAction:
@@ -218,14 +223,10 @@ class BlockAction:
 
     def preimage(self, q):
         """Some g in the source group with image(g) == q, or None."""
-        combined = _combined_action(self.source, self.system)
         n = self.source.degree
-        sources = list(range(n, n + len(self.system.blocks)))
-        targets = [n + q(i) for i in range(len(self.system.blocks))]
-        g = element_mapping_points(combined, sources, targets)
-        if g is None:
-            return None
-        return Permutation(g.images[:n])
+        chain = _points_and_blocks_chain(self.source, self.system)
+        g = chain.element_with_base_images([n + x for x in q.images])
+        return None if g is None else Permutation(g.images[:n])
 
 
 def action_on_blocks(G, bs):
@@ -258,8 +259,9 @@ def classify_block_system(G, partition):
         raise ValueError(f"malformed partition: {exc}") from exc
     if not bs.is_invariant_under(G):
         return {"is_block_system": False, "is_normal": False}
-    fix = fix_blocks(G, bs)
-    normal = all(set(fix.orbit(cell[0])) == set(cell) for cell in bs.blocks)
+    kernel = _kernel_generators(G, bs)
+    normal = all(len(orbit(cell[0], kernel, lambda x, g: g(x)))
+                 == bs.block_size for cell in bs.blocks)
     return {"is_block_system": True, "is_normal": normal}
 
 

@@ -317,15 +317,16 @@ def align_sylow_orbits(R, T, p):
     ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
     if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
-    return _align_sylow_orbits(R, T, p, ambient)
+    return _align_sylow_orbits(R, T, p, ambient)[1]
 
 
 def _align_sylow_orbits(R, T, p, ambient):
-    """align_sylow_orbits on checked input, ambient being <R, T>."""
+    """R's Sylow p-orbit partition and align_sylow_orbits on checked
+    input, ambient being <R, T>."""
     PR = _orbit_partition(sylow_subgroup(R, p))
     PT = _orbit_partition(sylow_subgroup(T, p))
     # orbits of (T_p)^d are d^-1 applied to the orbits of T_p
-    return partition_transporter(ambient, PT, PR)
+    return PR, partition_transporter(ambient, PT, PR)
 
 
 def canonical_ratio_patterns(order):
@@ -433,9 +434,8 @@ def _descend(R, T, ambient, transcript):
         d, chain = _two_group_tail(R, T, ambient, transcript)
         return d, chain, None
     p = odd[0]
-    delta = _align_sylow_orbits(R, T, p, ambient)
+    base, delta = _align_sylow_orbits(R, T, p, ambient)
     if delta is not None:
-        base = _orbit_partition(sylow_subgroup(R, p))
         tag = None
         transcript.append({"event": "aligned", "prime": p,
                            "block_size": base.block_size})

@@ -44,17 +44,16 @@ def parse_spec(text):
     return spec
 
 
-def _load_group(path, k=None):
-    """The group in a JSON file.  With an arity k, a degree over the
-    k-closure budget is refused before any stabilizer chain is built."""
+def _read_group(path):
+    """The JSON object in a group file.  No stabilizer chain is built, so
+    a degree that cannot fit is refused before its chain runs for
+    minutes."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object with degree and "
                          "generators")
-    if k is not None and isinstance(data.get("degree"), int):
-        check_budget(data["degree"], k)
-    return PermGroup.from_json(data)
+    return data
 
 
 def _group_json(G):
@@ -84,7 +83,10 @@ def cmd_construct(args):
 
 def cmd_closure(args):
     if args.fixture is not None:
-        G = _load_group(args.fixture, args.k)
+        data = _read_group(args.fixture)
+        if isinstance(data.get("degree"), int):
+            check_budget(data["degree"], args.k)
+        G = PermGroup.from_json(data)
         source = {"fixture": args.fixture}
     else:
         spec = parse_spec(args.spec)
@@ -101,7 +103,11 @@ def cmd_closure(args):
 def cmd_ci_check(args):
     target = parse_spec(args.target_spec)
     if args.fixture is not None:
-        A = _load_group(args.fixture)
+        data = _read_group(args.fixture)
+        if data.get("degree") != target.size:
+            raise ValueError(f"fixture degree {data.get('degree')!r} must "
+                             f"equal the target order {target.size}")
+        A = PermGroup.from_json(data)
     else:
         A = inner_holomorph(parse_spec(args.spec))
     verdict = babai_check(A, target)
@@ -111,8 +117,10 @@ def cmd_ci_check(args):
 
 
 def cmd_tower(args):
-    R = _load_group(args.groups[0])
-    T = _load_group(args.groups[1])
+    first, second = (_read_group(path) for path in args.groups)
+    if first.get("degree") != second.get("degree"):
+        raise ValueError("the two groups must have the same degree")
+    R, T = PermGroup.from_json(first), PermGroup.from_json(second)
     result = block_tower_search(R, T)
     if isinstance(result, TowerResult):
         _emit(result.to_json(), args.out)

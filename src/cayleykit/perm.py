@@ -541,18 +541,3 @@ def _is_power_of(n, p):
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def pointwise_stabilizer(G, points):
-    """Subgroup of G fixing each of the given points."""
-    chain = _Chain.schreier_sims(G.degree, G.generators, tuple(points))
-    pts = set(points)
-    gens = [s for s in chain.strong if all(s(b) == b for b in pts)]
-    return PermGroup(G.degree, gens)
-
-
-def element_mapping_points(G, sources, targets):
-    """Some g in G with g(sources[i]) == targets[i] for all i, or None."""
-    chain = _Chain.schreier_sims(G.degree, G.generators, tuple(sources))
-    return chain.element_with_base_images(list(targets))
-

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleykit import perm
 from cayleykit.blocks import (BlockSystem, action_on_blocks,
                               all_block_systems, block_restriction,
                               classify_block_system, fix_blocks,
@@ -171,6 +172,30 @@ class TestFixAndAction:
             q = act.image(g)
             lift = act.preimage(q)
             assert act.image(lift) == q
+        # the image is cyclic, so it holds no transposition of two blocks
+        swap = Permutation([1, 0, 2, 3, 4, 5])
+        assert act.preimage(swap) is None
+
+    def test_one_chain_per_classification_and_preimage(self, monkeypatch):
+        # the kernel and the preimage are read off one Schreier-Sims
+        # chain of G on its points and its blocks
+        G = inner_holomorph(GroupSpec.dicyclic(3))
+        bs = all_block_systems(G)[0]
+        act = action_on_blocks(G, bs)
+        q = next(q for q in map(act.image, G.generators)
+                 if not q.is_identity())
+        builds = []
+        build = perm._Chain.schreier_sims
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(perm._Chain, "schreier_sims", counted)
+        assert classify_block_system(G, bs)["is_block_system"]
+        assert len(builds) == 1
+        assert act.image(act.preimage(q)) == q
+        assert len(builds) == 2
 
     def test_block_restriction(self):
         G = cyc(6)
@@ -215,6 +240,15 @@ class TestClassifyAndTower:
         assert res["m_step"] and res["normal"]
         assert res["index_sequence"] == [2, 2, 3]
 
+    def test_degree_mismatch(self):
+        S4 = PermGroup.symmetric(4)
+        larger = BlockSystem(6, [[0, 1], [2, 3], [4, 5]])
+        smaller = BlockSystem(2, [[0], [1]])
+        for G, bs in ((S4, larger), (PermGroup.symmetric(6), smaller)):
+            for op in (classify_block_system, action_on_blocks):
+                with pytest.raises(ValueError, match="degree mismatch"):
+                    op(G, bs)
+
     def test_verify_tower_broken_nesting(self):
         G = cyc(12)
         t = [BlockSystem(12, [[i, i + 3, i + 6, i + 9] for i in range(3)]),
@@ -236,3 +270,22 @@ def transitive_groups(draw):
 @given(transitive_groups())
 def test_block_systems_match_partition_scan(G):
     assert all_block_systems(G) == invariant_partition_scan(G)
+
+
+def brute_force_is_normal(G, bs):
+    """The kernel on the blocks, filtered from every element of G, is
+    transitive on each block."""
+    kernel = [g for g in G.elements()
+              if all(tuple(sorted(g(x) for x in cell)) == cell
+                     for cell in bs.blocks)]
+    return all({g(cell[0]) for g in kernel} == set(cell)
+               for cell in bs.blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transitive_groups())
+def test_normality_matches_filtered_kernel(G):
+    for bs in all_block_systems(G):
+        assert classify_block_system(G, bs) == {
+            "is_block_system": True,
+            "is_normal": brute_force_is_normal(G, bs)}

@@ -18,7 +18,7 @@ from cayleykit.ci import (CiVerdict, TowerResult, _semiregular_order,
 from cayleykit.closures import k_closure
 from cayleykit.perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP,
                             CapExceededError, PermGroup, Permutation,
-                            pointwise_stabilizer, sylow_subgroup)
+                            sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
 from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
@@ -36,8 +36,12 @@ class TestConjugacy:
 
     def test_point_stabilizers_in_s4(self):
         S4 = PermGroup.symmetric(4)
-        c = are_conjugate_subgroups(S4, pointwise_stabilizer(S4, [0]),
-                                    pointwise_stabilizer(S4, [1]))
+        # the stabilizers of the points 0 and 1
+        c = are_conjugate_subgroups(
+            S4, PermGroup(4, [Permutation([0, 2, 1, 3]),
+                              Permutation([0, 2, 3, 1])]),
+            PermGroup(4, [Permutation([2, 1, 0, 3]),
+                          Permutation([2, 1, 3, 0])]))
         assert c is not None and c.order() == 2  # a transposition works
 
     def test_conjugator_actually_conjugates(self):
@@ -397,6 +401,17 @@ class TestAlignment:
         assert partition_transporter(G, src, tgt) is None
 
 
+# order-12 pairs (R, R^c) with no conjugate aligning the Sylow 3-orbits
+FALLBACK_CASES = [
+    (GroupSpec.dicyclic(3), [3, 2, 1, 0, 8, 11, 9, 10, 5, 7, 6, 4]),
+    (GroupSpec.direct_product([GroupSpec.cyclic(3),
+                               GroupSpec.elementary_abelian_2(2)]),
+     [7, 6, 4, 5, 0, 3, 2, 1, 10, 9, 8, 11]),
+    (GroupSpec.zn_semidirect_y(3, 4, 2),
+     [8, 11, 9, 10, 2, 0, 1, 3, 4, 5, 6, 7]),
+]
+
+
 class TestTowerSearch:
     def test_patterns_for_12(self):
         assert canonical_ratio_patterns(12) == {
@@ -477,14 +492,7 @@ class TestTowerSearch:
         assert data["ratios"] == [3, 2, 2]
         assert len(data["tower"]) == 4
 
-    @pytest.mark.parametrize("spec, c", [
-        (GroupSpec.dicyclic(3), [3, 2, 1, 0, 8, 11, 9, 10, 5, 7, 6, 4]),
-        (GroupSpec.direct_product([GroupSpec.cyclic(3),
-                                   GroupSpec.elementary_abelian_2(2)]),
-         [7, 6, 4, 5, 0, 3, 2, 1, 10, 9, 8, 11]),
-        (GroupSpec.zn_semidirect_y(3, 4, 2),
-         [8, 11, 9, 10, 2, 0, 1, 3, 4, 5, 6, 7]),
-    ])
+    @pytest.mark.parametrize("spec, c", FALLBACK_CASES)
     def test_fallback_uses_normal_system_of_joint_group(self, spec, c):
         # no conjugate aligns the Sylow 3-orbits, but <R, T> has a normal
         # system with blocks of size 4 over three blocks
@@ -504,6 +512,54 @@ class TestTowerSearch:
         R = regular(GroupSpec.cyclic(n))
         res = block_tower_search(R, R)
         assert isinstance(res, TowerResult) and res.ratios == ratios
+
+
+def tower_certificate_inputs():
+    """Pairs (R, T) whose tower results pin the tower search: relabeled
+    regular Dic3 and a conjugate of it by a random word of 40 generators
+    of its partition stabilizer, drawn as the conjugacy benchmark draws
+    them, for 3 seeds x 10; the fallback cases; the Z15 and Z21
+    self-pairs; and, for three groups of order 12, R and a seeded
+    conjugate from the stabilizer of each of its block systems, whose
+    quotient conjugators lift through nontrivial preimages."""
+    R, W = dic3_partition_stabilizer()
+    pairs = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for _ in range(10):
+            w = Permutation.identity(12)
+            for _ in range(40):
+                w = w * rng.choice(W.generators)
+            points = list(range(12))
+            rng.shuffle(points)
+            c = Permutation(points)
+            pairs.append((R.conjugate(c), R.conjugate(w).conjugate(c)))
+    for spec, c in FALLBACK_CASES:
+        R = regular(spec)
+        pairs.append((R, R.conjugate(Permutation(c))))
+    for n in (15, 21):
+        R = regular(GroupSpec.cyclic(n))
+        pairs.append((R, R))
+    for spec, _ in FALLBACK_CASES:
+        R = regular(spec)
+        rng = random.Random(12)
+        for bs in all_block_systems(R):
+            W = partition_stabilizer(bs)
+            T = R.conjugate(W.element_at(rng.randrange(W.order)))
+            joint = PermGroup(12, list(R.generators) + list(T.generators))
+            if joint.order <= BRUTE_FORCE_CAP:
+                pairs.append((R, T))
+    return pairs
+
+
+def test_tower_certificates_are_pinned():
+    # conjugators, towers, ratios, tags and transcripts must not change
+    # under refactoring of the block machinery they are certified with
+    results = [block_tower_search(R, T) for R, T in tower_certificate_inputs()]
+    assert all(isinstance(res, TowerResult) for res in results)
+    cert = json.dumps([res.to_json() for res in results], sort_keys=True)
+    assert hashlib.sha256(cert.encode()).hexdigest() == (
+        "f34aaf924404533ead6cff1cb3f5c23c4e3b7dbc1ad61a786f5c8d742037bbb3")
 
 
 def partition_stabilizer(bs):

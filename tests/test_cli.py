@@ -33,6 +33,18 @@ def usage_error(capsys, *argv):
     return code, json.loads(err)
 
 
+def no_chain(*args, **kwargs):
+    raise AssertionError("a stabilizer chain was built")
+
+
+def symmetric_file(tmp_path, n):
+    """S_n as JSON: a transposition and an n-cycle."""
+    path = tmp_path / f"s{n}.json"
+    path.write_text(json.dumps({"degree": n, "generators": [
+        [1, 0] + list(range(2, n)), list(range(1, n)) + [0]]}))
+    return str(path)
+
+
 def write_group_file(tmp_path, name, spec):
     from cayleykit.zoo import regular_representation
     G = regular_representation(spec, "left").group
@@ -149,17 +161,10 @@ class TestClosure:
                                                  monkeypatch):
         # S_120 is refused at k = 3 before its chain, which alone would
         # run for minutes, is built
-        n = 120
-        path = tmp_path / "s120.json"
-        path.write_text(json.dumps({"degree": n, "generators": [
-            [1, 0] + list(range(2, n)), list(range(1, n)) + [0]]}))
-
-        def no_chain(*args):
-            raise AssertionError("a stabilizer chain was built")
-
+        path = symmetric_file(tmp_path, 120)
         monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
         code, payload = usage_error(capsys, "closure", "--fixture",
-                                    str(path), "--k", "3")
+                                    path, "--k", "3")
         assert code == 3 and list(payload) == ["error"]
 
     def test_fixture_input(self, capsys, tmp_path):
@@ -263,6 +268,15 @@ class TestCiCheck:
         assert payload["verdict"]["status"] == "no_regular_copy"
         assert payload["verdict"]["classes"] == 0
 
+    def test_fixture_of_wrong_degree_builds_no_chain(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # S_60 is refused for a target of order 4 before its chain is built
+        path = symmetric_file(tmp_path, 60)
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        code, payload = usage_error(capsys, "ci-check", "--fixture", path,
+                                    "--target-spec", "cyclic(4)")
+        assert code == 2 and list(payload) == ["error"]
+
 
 class TestTower:
     def test_same_group(self, capsys, tmp_path):
@@ -290,6 +304,15 @@ class TestTower:
         p = write_group_file(tmp_path, "z9.json", GroupSpec.cyclic(9))
         code, _ = run(capsys, "tower", p, p)
         assert code == 2
+
+    def test_unequal_degrees_build_no_chain(self, capsys, tmp_path,
+                                            monkeypatch):
+        p12 = write_group_file(tmp_path, "z12.json", GroupSpec.cyclic(12))
+        p60 = symmetric_file(tmp_path, 60)
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        for pair in ((p12, p60), (p60, p12)):
+            code, payload = usage_error(capsys, "tower", *pair)
+            assert code == 2 and list(payload) == ["error"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "tower", str(tmp_path / "x.json"),
