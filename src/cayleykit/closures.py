@@ -40,10 +40,6 @@ class ColoredStructure:
         self.arity = arity
         self.colors = tuple(map(relabel.__getitem__, colors))
 
-    @property
-    def num_colors(self):
-        return max(self.colors) + 1 if self.colors else 0
-
     def encode(self, tup):
         idx = 0
         for x in tup:
@@ -159,21 +155,36 @@ def automorphisms(S):
     Strong generators are found base point by base point: for each level i
     and candidate image y, a depth-first completion search either produces
     an automorphism fixing 0..i-1 and sending i to y, or proves none exists.
+    Points are assigned in order 0, 1, ..., so a partial map f always
+    holds exactly 0..len(f)-1, in that order.
+
     An automorphism keeps the color of each diagonal tuple (x, ..., x), so
-    x is only sent to points whose diagonal tuple has x's color.  On an
+    level 0 tries the points whose diagonal tuple has 0's color.  On an
     orbit coloring of G these point classes are the G-orbits, which are
-    the orbits of the automorphism group.
+    the orbits of the automorphism group.  Every later point x is tried
+    only on the points y, ascending, whose tuple (y, f(0), ..., f(0)) has
+    the color of (x, 0, ..., 0): bucket(b) groups the points by the color
+    of (y, b, ..., b), built once per b.  That pair of tuples is one of
+    the comparisons `consistent` makes, so a bucket drops only candidates
+    that `consistent` rejects, and the search accepts the same images in
+    the same order as a scan of the whole point class.
     """
     n, k = S.degree, S.arity
     check_budget(n, k)
     colors = S.colors
-    # (x, ..., x) is encoded as x * (1 + n + ... + n^(k-1))
+    # (x, ..., x) is encoded as x * (1 + n + ... + n^(k-1)), and
+    # (y, b, ..., b) as y * lead + b * (1 + n + ... + n^(k-2))
     diagonal = sum(n ** i for i in range(k))
+    lead = n ** (k - 1)
     classes = colors[::diagonal]
-    # candidate images sorted ascending, per class
-    members = {}
-    for x in range(n):
-        members.setdefault(classes[x], []).append(x)
+    buckets = {}
+
+    def bucket(b):
+        if b not in buckets:
+            row = buckets[b] = {}
+            for y, c in enumerate(colors[b * (diagonal - lead)::lead]):
+                row.setdefault(c, []).append(y)
+        return buckets[b]
 
     if k == 1:
         def consistent(partial, x, y):
@@ -205,10 +216,10 @@ def automorphisms(S):
 
     def complete(partial, used):
         """Extend a consistent partial map over all points; None if stuck."""
-        if len(partial) == n:
-            return Permutation(partial[x] for x in range(n))
-        x = min(set(range(n)) - set(partial))
-        for y in members[classes[x]]:
+        x = len(partial)
+        if x == n:
+            return Permutation(partial.values())
+        for y in bucket(partial[0]).get(colors[x * lead], ()):
             if y in used or not consistent(partial, x, y):
                 continue
             partial[x] = y
@@ -228,7 +239,11 @@ def automorphisms(S):
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
         fixed = {j: j for j in range(i)}
-        for y in members[classes[i]]:
+        if i:
+            candidates = bucket(0)[colors[i * lead]]
+        else:
+            candidates = [y for y in range(n) if classes[y] == classes[0]]
+        for y in candidates:
             if y in orb or y <= i or not consistent(fixed, i, y):
                 continue
             partial = dict(fixed)

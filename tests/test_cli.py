@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +14,8 @@ from cayleykit.cli import main, parse_spec
 from cayleykit.perm import PermGroup
 from cayleykit.zoo import SPEC_PARAMS, GroupSpec
 
-M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
-                   "fixtures", "m12.json")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+M12 = os.path.join(SRC, "cayleykit", "fixtures", "m12.json")
 
 # JSON arrays nested deeper than the interpreter's recursion limit
 DEEP = "[" * 3000 + "]" * 3000
@@ -354,6 +356,22 @@ def test_argparse_error_is_one_json_line(capsys, argv):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_python_m_cayleykit_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "cayleykit", *argv],
+                              env=env, capture_output=True, text=True)
+
+    done = run_module("construct", "--spec", "cyclic(3)")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["group"]["order"] == 3
+    done = run_module("closure", "--spec", "cyclic(4)", "--k", "9")
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "error" in json.loads(done.stderr)
 
 
 # Spec fuzzing.  Every integer stays at 8 or below, and valid specs of order
