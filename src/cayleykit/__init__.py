@@ -15,7 +15,7 @@ from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      minimal_block_containing, pullback_system, refines,
                      verify_tower)
 from .zoo import (GroupSpec, LabeledPermGroup, cor2_groups,
-                  frobenius_natural_action, group_in_family_R, in_family_R,
+                  frobenius_natural_action, group_in_family_R,
                   inner_holomorph, isomorphic_groups, isomorphic_to_spec,
                   regular_representation, zsigmondy_ppd)
 from .closures import (BudgetExceededError, ColoredStructure, automorphisms,

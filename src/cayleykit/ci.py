@@ -152,28 +152,29 @@ def _semiregular_order(images):
 
 def regular_subgroups(A, spec):
     """Conjugacy class representatives of regular subgroups of A
-    isomorphic to the given abstract group, in depth-first discovery order.
+    isomorphic to the given abstract group: each class's member of least
+    key, in increasing key order, where H's key lists its elements' image
+    tuples by image of 0, (h_1, ..., h_{n-1}).  So they depend on the set
+    A only, not on its chain.
 
     A regular subgroup holds exactly one element sending the base point 0
     to each point y, so it is stored as a map y -> element.  Each of its
     elements is semiregular: all its cycles have one length, its order.
     So the only candidates are the elements of A whose cycles all have
     one length that occurs as an order in the group.  The search picks,
-    for the least point y not yet reached, each candidate with g(0) = y,
-    and adds it to the chosen generators.  A subgroup is the closure of
+    for the least point y not yet reached, each candidate with g(0) = y
+    by increasing image tuple, and adds it to the chosen generators.  Two
+    leaves first differ at such a y, every h_x with x < y shared, so the
+    leaves come in increasing key order.  A subgroup is the closure of
     its generators under right multiplication, so the closure grows
     incrementally: every old element times the new generator, then every
     new element times every generator, until nothing new appears.  Two
     elements with one image of 0, a product that is no candidate, or more
-    elements of some order than the group has, end the branch.  Each
-    complete assignment is a subgroup, keyed by its element set.  A
-    branch cut for a non-candidate holds no complete assignment, so the
-    search meets the same subgroups in the same order as one over every
-    element of A would, and keeps the same representatives.  Only a key
-    outside the conjugacy classes already decided goes to the isomorphism
-    test, on its product table; its class is then decided, and only an
-    accepted key gets a stabilizer chain, built on the known base [0]
-    without Schreier-Sims.
+    elements of some order than the group has, end the branch.  Only a
+    complete assignment outside the conjugacy classes already decided
+    goes to the isomorphism test, on its product table; its class is then
+    decided, and only an accepted one gets a stabilizer chain, built on
+    the known base [0] without Schreier-Sims.
     """
     n = A.degree
     if n != spec.size:
@@ -186,6 +187,8 @@ def regular_subgroups(A, spec):
         if hist.get(o, 0) > 0:
             orders[g.images] = o
             by_image[g.images[0]].append(g)
+    for candidates in by_image.values():
+        candidates.sort()
     conj_gens = [(g, g.inverse()) for g in A.generators]
     is_spec = isomorphism_test(cayley_table(
         regular_representation(spec, "left").group))
@@ -226,7 +229,7 @@ def regular_subgroups(A, spec):
             return
         if is_spec([assigned[y].images for y in range(n)]):
             # base [0]: the elements are a strong set, assigned its transversal
-            reps.append(PermGroup.from_bsgs(n, [0], assigned.values()))
+            reps.append(PermGroup(n, assigned.values(), base=[0]))
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 

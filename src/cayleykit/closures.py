@@ -168,6 +168,11 @@ def automorphisms(S):
     the comparisons `consistent` makes, so a bucket drops only candidates
     that `consistent` rejects, and the search accepts the same images in
     the same order as a scan of the whole point class.
+
+    Levels run from n-1 down to 0, so a generator found at level i fixes
+    0..i-1 and moves i, and the orbit of i is complete when the search
+    leaves level i.  The generators are thus a strong generating set for
+    the ascending levels that found one: the chain is built on that base.
     """
     n, k = S.degree, S.arity
     check_budget(n, k)
@@ -232,6 +237,7 @@ def automorphisms(S):
         return None
 
     gens = []
+    base = []
 
     def point_orbit(x):
         return set(orbit(x, gens, lambda y, g: g(y)))
@@ -252,7 +258,9 @@ def automorphisms(S):
             if g is not None:
                 gens.append(g)
                 orb = point_orbit(i)
-    return PermGroup(n, gens)
+        if len(orb) > 1:  # only a generator found at level i moves i
+            base.append(i)
+    return PermGroup(n, gens, base=base[::-1])
 
 
 def k_closure(G, k):

@@ -318,9 +318,11 @@ class _Chain:
 
 
 class PermGroup:
-    """A permutation group given by generators; chain built at construction."""
+    """A permutation group given by generators; its chain is built at
+    construction by Schreier-Sims, or, when a base is given, from the
+    orbits alone: the generators are trusted as a strong set for it."""
 
-    def __init__(self, degree, generators):
+    def __init__(self, degree, generators, base=None):
         gens = []
         seen = set()
         for g in generators:
@@ -331,20 +333,11 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(sorted(gens))
-        self._chain = _Chain.schreier_sims(degree, self.generators)
+        if base is None:
+            self._chain = _Chain.schreier_sims(degree, self.generators)
+        else:
+            self._chain = _Chain(degree, base, self.generators)
         self.order = self._chain.order
-
-    @classmethod
-    def from_bsgs(cls, degree, base, strong):
-        """The group of a trusted base and strong generating set of distinct
-        permutations, with PermGroup(degree, strong)'s generators but no
-        Schreier-Sims run."""
-        G = object.__new__(cls)
-        G.degree = degree
-        G.generators = tuple(sorted(g for g in strong if not g.is_identity()))
-        G._chain = _Chain(degree, base, G.generators)
-        G.order = G._chain.order
-        return G
 
     @classmethod
     def trivial(cls, degree):

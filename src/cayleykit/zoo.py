@@ -441,12 +441,6 @@ def group_in_family_R(G):
     return not_member
 
 
-def in_family_R(spec):
-    """Membership of the abstract group described by spec."""
-    G = regular_representation(spec, "left").group
-    return group_in_family_R(G)
-
-
 def isomorphic_to_spec(H, spec):
     """Abstract isomorphism between a regular permutation group and a spec;
     a non-regular H raises ValueError."""

@@ -28,6 +28,18 @@ def regular(spec):
     return regular_representation(spec, "left").group
 
 
+def c2_x_d4_row():
+    """A non-Frobenius 3-closure where histogram pruning does the work."""
+    spec = GroupSpec.direct_product([GroupSpec.cyclic(2),
+                                     GroupSpec.dihedral(4)])
+    return k_closure(inner_holomorph(spec), 3), spec
+
+
+def frobenius_row(p, n):
+    spec = GroupSpec.frobenius(p, n)
+    return inner_holomorph(spec), spec
+
+
 class TestConjugacy:
     def test_equal_groups_identity(self):
         R = regular(GroupSpec.cyclic(6))
@@ -190,17 +202,15 @@ class TestRegularSubgroups:
             regular_subgroups(PermGroup.symmetric(4), GroupSpec.cyclic(5))
 
     def test_c2_x_d4_row_is_pinned(self):
-        # a non-Frobenius 3-closure where histogram pruning does the work;
-        # the representatives, and so the search order, must not change
-        spec = GroupSpec.direct_product([GroupSpec.cyclic(2),
-                                         GroupSpec.dihedral(4)])
-        A = k_closure(inner_holomorph(spec), 3)
+        # the representatives, the least-key member of each class, must
+        # not change
+        A, spec = c2_x_d4_row()
         reps = regular_subgroups(A, spec)
         assert A.order == 128 and len(reps) == 15
         gens = [[g.to_json() for g in H.generators] for H in reps]
         digest = hashlib.sha256(json.dumps(gens).encode()).hexdigest()
-        assert digest == ("7dc0720d0a68a798586f4020459ff690"
-                          "b05b2749123dc29b2b3bf12bc6b16299")
+        assert digest == ("10b8eb811f42acf321c60ec37314aa63"
+                          "f016143b1c11f5f1fca1a59a09d8d4ca")
 
     def test_babai_representatives_are_pinned(self):
         # the Frobenius inner holomorphs of the conjugacy benchmark: the
@@ -218,9 +228,7 @@ class TestRegularSubgroups:
     def test_c2_x_d4_row_builds_one_chain(self, monkeypatch):
         # the representatives take their chains from the known base [0];
         # the one Schreier-Sims build is the regular copy of the spec
-        spec = GroupSpec.direct_product([GroupSpec.cyclic(2),
-                                         GroupSpec.dihedral(4)])
-        A = k_closure(inner_holomorph(spec), 3)
+        A, spec = c2_x_d4_row()
         builds = []
         build = perm._Chain.schreier_sims
 
@@ -316,6 +324,78 @@ def test_regular_subgroups_match_oracle(case):
     assert len(reps) == len(regular_class_scan(A, [spec])[0])
     for H, K in itertools.combinations(reps, 2):
         assert are_conjugate_subgroups(A, H, K) is None
+
+
+def subgroup_key(images):
+    """The key of a regular subgroup, given by its element image tuples:
+    the tuples listed by image of 0, the identity left out."""
+    return tuple(sorted(images, key=lambda im: im[0]))[1:]
+
+
+def conjugacy_class(A, images):
+    """The element-image sets of c^-1 H c for every c in A."""
+    members = [Permutation(im) for im in images]
+    return {frozenset((c.inverse() * h * c).images for h in members)
+            for c in A.elements()}
+
+
+def assert_least_key_representatives(A, reps, classes):
+    """reps come in increasing key order, one for each class, and each is
+    the least-key member of its class; classes holds one element-image set
+    of each class."""
+    keys = [subgroup_key(g.images for g in H.elements()) for H in reps]
+    assert keys == sorted(set(keys))
+    least = sorted(min(map(subgroup_key, conjugacy_class(A, c)))
+                   for c in classes)
+    assert keys == least
+
+
+@pytest.mark.parametrize("row", [c2_x_d4_row, lambda: frobenius_row(5, 4),
+                                 lambda: frobenius_row(7, 3)],
+                         ids=["c2_x_d4", "frobenius(5,4)", "frobenius(7,3)"])
+def test_representatives_have_least_keys(row):
+    # each representative's class, by conjugation with every element of A
+    A, spec = row()
+    reps = regular_subgroups(A, spec)
+    assert_least_key_representatives(
+        A, reps, [[g.images for g in H.elements()] for H in reps])
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ambients())
+def test_representatives_have_least_keys_on_small_ambients(case):
+    A, spec = case
+    assume(A.order <= ORACLE_AMBIENT_ORDER)
+    reps = regular_subgroups(A, spec)
+    assert_least_key_representatives(A, reps,
+                                     regular_class_scan(A, [spec])[0])
+
+
+def rechained(A, seed):
+    """A with another chain: its generators plus a few seeded elements."""
+    rng = random.Random(seed)
+    extra = [A.element_at(rng.randrange(A.order)) for _ in range(3)]
+    return PermGroup(A.degree, list(A.generators) + extra)
+
+
+def test_representatives_do_not_depend_on_the_chain():
+    A, spec = c2_x_d4_row()
+    want = [H.generators for H in regular_subgroups(A, spec)]
+    for seed in range(5):
+        B = rechained(A, seed)
+        assert B == A and B.elements() != A.elements()
+        assert [H.generators for H in regular_subgroups(B, spec)] == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_ambients(), st.integers(0, 2**32))
+def test_representatives_do_not_depend_on_the_chain_of_small_ambients(
+        case, seed):
+    A, spec = case
+    assume(A.order <= 1152)  # S_8 would take seconds an example
+    B = rechained(A, seed)
+    assert [H.generators for H in regular_subgroups(B, spec)] \
+        == [H.generators for H in regular_subgroups(A, spec)]
 
 
 class TestBabaiCheck:

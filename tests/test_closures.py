@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from operator import itemgetter
 from unittest import mock
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cayleykit import closures
+from cayleykit import closures, perm
 from cayleykit.closures import (DEGREE_BUDGET, BudgetExceededError,
                                 ColoredStructure, _tuple_codes, automorphisms,
                                 brute_force_automorphisms, check_budget,
@@ -264,7 +265,7 @@ def found_generators(search, S):
     """The image tuples a search passes to PermGroup, in the order found
     (PermGroup itself sorts its generators)."""
     with mock.patch.dict(search.__globals__,
-                         PermGroup=lambda n, gens: list(gens)):
+                         PermGroup=lambda n, gens, base=None: list(gens)):
         return [g.images for g in search(S)]
 
 
@@ -287,9 +288,8 @@ def test_automorphisms_find_the_reference_generators(S):
         == found_generators(reference_automorphisms, S)
 
 
-def test_closure_generators_are_pinned():
-    # taken from the reference search; the list of found generators,
-    # in order, over closures near the degree budgets
+def pinned_colorings():
+    """Orbit colorings of relabeled groups near the degree budgets."""
     cases = [(regular(GroupSpec.cyclic(252)), 2),
              (regular(GroupSpec.dihedral(100)), 2),
              (regular(GroupSpec.cyclic(64)), 3),
@@ -297,13 +297,44 @@ def test_closure_generators_are_pinned():
              (regular(GroupSpec.dicyclic(11)), 3),
              (inner_holomorph(GroupSpec.frobenius(5, 4)), 2)]
     rng = random.Random(18)
-    found = []
+    out = []
     for G, k in cases:
         c = Permutation(rng.sample(range(G.degree), G.degree))
-        S = orbit_coloring(G.conjugate(c), k)
-        found.append([list(g) for g in found_generators(automorphisms, S)])
+        out.append(orbit_coloring(G.conjugate(c), k))
+    return out
+
+
+def test_closure_generators_are_pinned():
+    # taken from the reference search; the list of found generators,
+    # in order
+    found = [[list(g) for g in found_generators(automorphisms, S)]
+             for S in pinned_colorings()]
     assert hashlib.sha256(json.dumps(found).encode()).hexdigest() \
         == "6e7656fc2ba9bb0a43242ba9022cede1c9a076f65e5436b90ecc947684645dfe"
+
+
+def no_schreier_sims(*args):
+    raise AssertionError("Schreier-Sims ran")
+
+
+def test_closures_keep_the_chain_their_search_found(monkeypatch):
+    inputs = [(frobenius_natural_action(31, 30), 2),
+              (regular(GroupSpec.cyclic(32)), 1)]
+    monkeypatch.setattr(perm._Chain, "schreier_sims", no_schreier_sims)
+    for G, k in inputs:
+        assert k_closure(G, k).order == math.factorial(G.degree)
+
+
+def test_closure_chains_are_bsgs():
+    # each closure's chain, built on the levels of its search, against
+    # Schreier-Sims on the same generators
+    rng = random.Random(19)
+    for S in pinned_colorings():
+        C = automorphisms(S)
+        rebuilt = PermGroup(C.degree, C.generators)
+        assert C.order == rebuilt.order
+        assert all(C.contains(rebuilt.element_at(rng.randrange(C.order)))
+                   for _ in range(50))
 
 
 class CountingColors(tuple):

@@ -368,16 +368,18 @@ def _m12():
 
 
 def test_chain_corpus_is_pinned():
-    # the chains decide elements() order and so every representative
-    # regular_subgroups returns; the digest is that of _ReferenceChain
+    # Schreier-Sims chains, which decide elements() order; the digest is
+    # that of _ReferenceChain.  The closure keeps the chain of the base
+    # its search found, so its generators are rebuilt here.
     c2_x_d4 = GroupSpec.direct_product([GroupSpec.cyclic(2),
                                         GroupSpec.dihedral(4)])
+    C = k_closure(inner_holomorph(c2_x_d4), 3)
     corpus = [PermGroup.symmetric(8),
               PermGroup(9, [perm((0, 1, 2), n=9),
                             perm(tuple(range(9)), n=9)]),
               _wreath(4, 3), _m12(),
               inner_holomorph(GroupSpec.frobenius(7, 3)),
-              k_closure(inner_holomorph(c2_x_d4), 3)]
+              PermGroup(16, C.generators)]
     assert [G.order for G in corpus] \
         == [40320, 181440, 82944, 95040, 441, 128]
     text = json.dumps([chain_key(G._chain) for G in corpus])

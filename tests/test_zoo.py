@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cayleykit.perm import PermGroup, Permutation, _is_prime
 from cayleykit.zoo import (GroupSpec, cayley_table, cor2_groups,
                            frobenius_natural_action, group_in_family_R,
-                           in_family_R, inner_holomorph, isomorphic_groups,
+                           inner_holomorph, isomorphic_groups,
                            isomorphic_to_spec, regular_representation,
                            zsigmondy_ppd)
 
@@ -189,17 +189,20 @@ class TestNumberTheory:
 
 class TestFamilyMembership:
     def test_case_a(self):
-        res = in_family_R(GroupSpec.direct_product(
-            [GroupSpec.cyclic(15), GroupSpec.elementary_abelian_2(3)]))
+        spec = GroupSpec.direct_product(
+            [GroupSpec.cyclic(15), GroupSpec.elementary_abelian_2(3)])
+        res = group_in_family_R(regular_representation(spec).group)
         assert res["member"] and res["case"] == "a"
 
     def test_case_b(self):
-        res = in_family_R(GroupSpec.dicyclic(5))
+        res = group_in_family_R(
+            regular_representation(GroupSpec.dicyclic(5)).group)
         assert res["member"] and res["case"] == "b"
         assert res["witness"]["order_of_y"] == 4
 
     def test_not_squarefree(self):
-        assert not in_family_R(GroupSpec.cyclic(9))["member"]
+        assert not group_in_family_R(
+            regular_representation(GroupSpec.cyclic(9)).group)["member"]
 
     def test_noncyclic_odd_part(self):
         # Z3^2 odd noncyclic: out
@@ -210,12 +213,13 @@ class TestFamilyMembership:
     def test_z8_degenerate_member(self):
         # closure of the family under subgroups/quotients of the o(y)=8
         # members forces Zn x Z8 in
-        res = in_family_R(GroupSpec.z8())
+        res = group_in_family_R(regular_representation(GroupSpec.z8()).group)
         assert res["member"]
         assert res["witness"].get("degenerate")
 
     def test_dihedral_case_b(self):
-        res = in_family_R(GroupSpec.dihedral(5))
+        res = group_in_family_R(
+            regular_representation(GroupSpec.dihedral(5)).group)
         assert res["member"] and res["case"] == "b"
         assert res["witness"]["order_of_y"] == 2
 
@@ -244,7 +248,8 @@ class TestFamilyPinned:
                               "faaafd9635cedf44e3fdcb542f62411a"),
     ], ids=["cd-rows", "spec-grid"])
     def test_verdicts_pinned(self, corpus, size, members, digest):
-        verdicts = [in_family_R(spec) for spec in corpus()]
+        verdicts = [group_in_family_R(regular_representation(spec).group)
+                    for spec in corpus()]
         assert len(verdicts) == size
         assert sum(v["member"] for v in verdicts) == members
         assert hashlib.sha256(json.dumps(
