@@ -222,8 +222,11 @@ class BlockAction:
         return _block_image(p, self.system, self._idx)
 
     def preimage(self, q):
-        """Some g in the source group with image(g) == q, or None."""
+        """Some g in the source group with image(g) == q, or None; the
+        identity for the identity, with no chain built."""
         n = self.source.degree
+        if q.is_identity():
+            return Permutation.identity(n)
         chain = _points_and_blocks_chain(self.source, self.system)
         g = chain.element_with_base_images([n + x for x in q.images])
         return None if g is None else Permutation(g.images[:n])

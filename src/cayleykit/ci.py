@@ -356,52 +356,21 @@ def canonical_ratio_patterns(order):
     return patterns
 
 
-def _two_group_chain(J):
-    """A full chain of normal block systems of a transitive 2-group.
-
-    Orbits of a central involution give size-2 blocks; recurse on the
-    quotient.  Returns the proper nontrivial systems, ascending.
-    """
-    n = J.degree
-    if n <= 2:
-        return []
-    z = next((g for g in J.elements() if g.order() == 2
-              and all(g * h == h * g for h in J.generators)), None)
-    if z is None:
-        raise RuntimeError("transitive 2-group with no central involution")
-    # z is central in a transitive group, so it fixes no point: its cycles
-    # are the orbits of <z>
-    base = BlockSystem(n, z.cycles())
-    act = action_on_blocks(J, base)
-    return [base] + [pullback_system(s, base)
-                     for s in _two_group_chain(act.group)]
-
-
 def _two_group_tail(R, T, ambient, transcript):
-    """Conjugate T into a common Sylow 2-subgroup with R and chain down.
-
-    Returns (conjugator, proper systems ascending) for the 2-group pair;
-    ambient is <R, T>.
-    """
-    n = R.degree
-    if n == 1:
-        return Permutation.identity(1), []
+    """A conjugator d putting T^d in a Sylow 2-subgroup of ambient = <R, T>
+    together with R, for R of 2-power order; <R, T^d> is then a 2-group.
+    The identity when ambient is a 2-group already."""
     if _is_power_of(ambient.order, 2):
-        d = Permutation.identity(n)
-    else:
-        P = sylow_subgroup(ambient, 2, containing=R)
-        Pkeys = _element_keys(P)
-        d = None
-        for c in ambient.elements():
-            cinv = c.inverse()
-            if all((cinv * t * c).images in Pkeys for t in T.generators):
-                d = c
-                break
-        if d is None:
-            raise RuntimeError("no conjugate of T inside the chosen Sylow")
-        transcript.append({"event": "two_group_conjugated",
-                           "conjugator": list(d.images)})
-    return d, _two_group_chain(_conjugate_pair(R, T, d, ambient)[1])
+        return Permutation.identity(R.degree)
+    P = sylow_subgroup(ambient, 2, containing=R)
+    Pkeys = _element_keys(P)
+    for d in ambient.elements():
+        dinv = d.inverse()
+        if all((dinv * t * d).images in Pkeys for t in T.generators):
+            transcript.append({"event": "two_group_conjugated",
+                               "conjugator": list(d.images)})
+            return d
+    raise RuntimeError("no conjugate of T inside the chosen Sylow")
 
 
 def _conjugate_pair(R, T, c, ambient):
@@ -414,56 +383,66 @@ def _conjugate_pair(R, T, c, ambient):
     return gens, PermGroup(R.degree, list(R.generators) + gens)
 
 
-def _quotient_pair(joint, R, Tgens, bs):
-    """Images of R and of the group Tgens generate on the blocks of a
-    system of joint, their joint group."""
-    act = action_on_blocks(joint, bs)
-    RB = PermGroup(len(bs.blocks), [act.image(g) for g in R.generators])
-    TB = PermGroup(len(bs.blocks), [act.image(g) for g in Tgens])
-    return act, RB, TB
-
-
 def _descend(R, T, ambient, transcript):
     """Recursive tower construction; ambient is <R, T>.
 
+    Each level picks a conjugator delta, a normal block system of
+    joint = <R, T^delta> and a tag, by the first rule that applies:
+    align the Sylow p-orbits for the largest odd prime p dividing |R|;
+    failing that, take a normal system of <R, T> itself (delta = 1, see
+    _exceptional_descent); for R of 2-power order, conjugate T into a
+    Sylow 2-subgroup with R and take the cycles of a central involution
+    of the 2-group joint.  Then R and T^delta act on the blocks, the
+    quotient pair descends, and its conjugator lifts back into joint.
+
     Returns (conjugator c, proper nontrivial systems of <R, T^c>
-    ascending, exceptional tag or None).
+    ascending, exceptional tag or None, <R, T^c> when already built or
+    None), or four Nones when the fallback finds no system.
     """
     n = R.degree
     if n == 1 or _is_prime(n):  # no proper nontrivial system
-        return Permutation.identity(n), [], None
+        return Permutation.identity(n), [], None, ambient
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
+    tag = None
     if not odd:
-        d, chain = _two_group_tail(R, T, ambient, transcript)
-        return d, chain, None
-    p = odd[0]
-    base, delta = _align_sylow_orbits(R, T, p, ambient)
-    if delta is not None:
-        tag = None
-        transcript.append({"event": "aligned", "prime": p,
-                           "block_size": base.block_size})
+        delta = _two_group_tail(R, T, ambient, transcript)
     else:
-        transcript.append({"event": "alignment_failed", "prime": p})
-        delta, base, tag = _exceptional_descent(ambient, transcript)
-        if delta is None:
-            return None, None, None
+        base, delta = _align_sylow_orbits(R, T, odd[0], ambient)
+        if delta is not None:
+            transcript.append({"event": "aligned", "prime": odd[0],
+                               "block_size": base.block_size})
+        else:
+            transcript.append({"event": "alignment_failed", "prime": odd[0]})
+            base, tag = _exceptional_descent(ambient, transcript)
+            if base is None:
+                return None, None, None, None
+            delta = Permutation.identity(n)
     Tgens, joint = _conjugate_pair(R, T, delta, ambient)
-    act, RB, TB = _quotient_pair(joint, R, Tgens, base)
+    if not odd:
+        # a 2-group has a central involution; central in a transitive
+        # group, it fixes no point, so its cycles are the orbits of <z>
+        z = next(g for g in joint.elements() if g.order() == 2
+                 and all(g * h == h * g for h in joint.generators))
+        base = BlockSystem(n, z.cycles())
+    act = action_on_blocks(joint, base)
+    RB = PermGroup(len(base), [act.image(g) for g in R.generators])
+    TB = PermGroup(len(base), [act.image(g) for g in Tgens])
     # act.group has RB's and TB's generators: it is <RB, TB>
-    cq, subtower, subtag = _descend(RB, TB, act.group, transcript)
+    cq, subtower, subtag, _ = _descend(RB, TB, act.group, transcript)
     if cq is None:
-        return None, None, None
+        return None, None, None, None
     lift = act.preimage(cq)
     if lift is None:
         raise RuntimeError("quotient conjugator has no preimage")
-    total = delta * lift
     tower = [base] + [pullback_system(s, base) for s in subtower]
-    return total, tower, tag or subtag
+    return (delta * lift, tower, tag or subtag,
+            joint if lift.is_identity() else None)
 
 
 def _exceptional_descent(joint, transcript):
     """Fallback when no odd-prime alignment exists: a normal block system
-    of joint = <R, T> itself, with blocks of size 4, then 2."""
+    of joint = <R, T> itself, with blocks of size 4, then 2, and its tag;
+    (None, None) when there is none."""
     systems = all_block_systems(joint)
     for size in (4, 2):
         for bs in systems:
@@ -471,19 +450,21 @@ def _exceptional_descent(joint, transcript):
                     and classify_block_system(joint, bs)["is_normal"]):
                 transcript.append({"event": "exceptional_aligned",
                                    "block_size": size})
-                return (Permutation.identity(joint.degree), bs,
-                        "exceptional_block_%d" % size)
+                return bs, "exceptional_block_%d" % size
     transcript.append({"event": "exceptional_failed"})
-    return None, None, None
+    return None, None
 
 
 def block_tower_search(R, T):
     """Find g making <R, T^g> normally imprimitive all the way down.
 
-    Aligns Sylow orbit partitions largest odd prime first, recurses
-    through the quotient action on blocks, and finishes the 2-group tail
-    inside a common Sylow 2-subgroup.  The resulting ratio sequence is
-    matched against the admissible patterns for this order.
+    Descends one level at a time (see _descend): each level conjugates T
+    and picks a normal block system, by Sylow p-orbit alignment for the
+    largest odd prime, a normal system of <R, T> as fallback, or a
+    central involution once T shares a Sylow 2-subgroup with R, then
+    recurses on the action on the blocks.  The tower is checked on
+    <R, T^g>, and its ratio sequence matched against the admissible
+    patterns for this order.
     """
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_regular():
@@ -497,14 +478,16 @@ def block_tower_search(R, T):
     if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
     transcript = []
-    c, tower, tag = _descend(R, T, ambient, transcript)
+    c, tower, tag, joint = _descend(R, T, ambient, transcript)
     if c is None:
         return {"status": "failure", "transcript": transcript}
     n = R.degree
     full = [BlockSystem.singletons(n)] + tower
     if n > 1:  # on one point the singletons are already the one block
         full.append(BlockSystem.one_block(n))
-    check = verify_tower(_conjugate_pair(R, T, c, ambient)[1], full)
+    if joint is None:
+        joint = _conjugate_pair(R, T, c, ambient)[1]
+    check = verify_tower(joint, full)
     if not (check["m_step"] and check["normal"]):
         return {"status": "failure", "transcript": transcript,
                 "verify": check}

@@ -432,6 +432,9 @@ class PermGroup:
 
     @classmethod
     def from_json(cls, data):
+        for key in ("degree", "generators"):
+            if key not in data:
+                raise ValueError(f"group JSON has no {key!r} key")
         degree, gens = data["degree"], data["generators"]
         if not isinstance(degree, int) or isinstance(degree, bool) \
                 or degree < 0:
@@ -489,10 +492,17 @@ def prime_factors(n):
 
 
 def sylow_subgroup(G, p, containing=None):
-    """A Sylow p-subgroup, grown inside normalizers of partial p-subgroups.
+    """A Sylow p-subgroup of G, grown one element at a time.
 
     The growth starts from the p-subgroup `containing` when given, else
-    from the cyclic group of the smallest element of order p.
+    from the cyclic group of the least element of order p.  While P is
+    below the p-part of |G|, P becomes <P, g> for the first element g of
+    one listing of G that is a p-element outside P and conjugates P's
+    generators into P.  Such a g normalizes P, so <P, g> = P<g>, whose
+    order divides |P| |<g>|, a power of p: no candidate group is built.
+    One exists while P is not Sylow, since a p-subgroup properly inside a
+    p-group is properly inside its normalizer there.  G is listed only
+    when P must grow.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -503,30 +513,22 @@ def sylow_subgroup(G, p, containing=None):
     while n % p == 0:
         target *= p
         n //= p
-
-    def p_element(pool, P):
-        # smallest p-element extending P to a larger p-group
-        for g in pool:
-            o = g.order()
-            if o == 1 or not _is_power_of(o, p):
-                continue
-            if P.contains(g):
-                continue
-            cand = PermGroup(G.degree, list(P.generators) + [g])
-            if _is_power_of(cand.order, p):
-                return cand
-        return None
-
     P = containing
+    if P is None or P.order < target:
+        elements = G.elements()
     if P is None:
-        start = min(g for g in G.elements() if g.order() == p)
-        P = PermGroup(G.degree, [start])
+        P = PermGroup(G.degree, [min(g for g in elements if g.order() == p)])
     while P.order < target:
-        N = normalizer(G, P)
-        bigger = p_element(N.elements(), P)
-        if bigger is None:  # cannot happen by Sylow theory
+        keys = {h.images for h in P.elements()}
+        for g in elements:
+            if g.images in keys or not _is_power_of(g.order(), p):
+                continue
+            ginv = g.inverse()
+            if all((ginv * h * g).images in keys for h in P.generators):
+                break
+        else:  # cannot happen by Sylow theory
             raise RuntimeError("sylow extension failed")
-        P = bigger
+        P = PermGroup(G.degree, P.generators + (g,))
     return P
 
 

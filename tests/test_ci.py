@@ -35,6 +35,13 @@ def c2_x_d4_row():
     return k_closure(inner_holomorph(spec), 3), spec
 
 
+def q8_pair():
+    """Regular Q8 and a conjugate T with <R, T> not a 2-group, so the
+    tower search conjugates T into a Sylow 2-subgroup grown from R."""
+    R = regular(GroupSpec.q8())
+    return R, R.conjugate(Permutation([1, 0, 2, 3, 4, 5, 6, 7]))
+
+
 def frobenius_row(p, n):
     spec = GroupSpec.frobenius(p, n)
     return inner_holomorph(spec), spec
@@ -531,10 +538,7 @@ class TestTowerSearch:
             assert v["is_block_system"] and v["is_normal"]
 
     def test_q8_conjugate_through_common_sylow(self):
-        # <R, T> is not a 2-group, so T is first conjugated into a Sylow
-        # 2-subgroup grown from R
-        R = regular(GroupSpec.q8())
-        T = R.conjugate(Permutation([1, 0, 2, 3, 4, 5, 6, 7]))
+        R, T = q8_pair()
         res = block_tower_search(R, T)
         assert isinstance(res, TowerResult) and res.ratios == [2, 2, 2]
         assert res.transcript[0]["event"] == "two_group_conjugated"
@@ -545,20 +549,39 @@ class TestTowerSearch:
             assert v["is_block_system"] and v["is_normal"]
 
     def test_joint_group_is_built_once(self, monkeypatch):
-        # <R, T> is built for the cap check and reused by the descent
+        # <R, T> is built for the cap check and reused by the descent; on
+        # q8 the 2-group tail conjugates T by some d, and <R, T^d> is built
+        # once, for the descent and the final check alike
         R, W = dic3_partition_stabilizer()
-        T = R.conjugate(W.generators[-1] * W.generators[0])
-        joint = tuple(sorted(set(R.generators) | set(T.generators)))
+        dic3 = (R, R.conjugate(W.generators[-1] * W.generators[0]))
         builds = []
         init = PermGroup.__init__
 
-        def counted(self, degree, generators):
-            init(self, degree, generators)
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             builds.append(self.generators)
 
         monkeypatch.setattr(PermGroup, "__init__", counted)
-        assert isinstance(block_tower_search(R, T), TowerResult)
-        assert builds.count(joint) == 1
+        for R, T in (dic3, q8_pair()):
+            builds.clear()
+            res = block_tower_search(R, T)
+            assert isinstance(res, TowerResult)
+            assert builds.count(tuple(sorted(
+                set(R.generators) | set(T.generators)))) == 1
+        d = res.conjugator
+        assert res.transcript[0] == {"event": "two_group_conjugated",
+                                     "conjugator": list(d.images)}
+        Td = [d.inverse() * t * d for t in T.generators]
+        assert builds.count(tuple(sorted(set(R.generators) | set(Td)))) == 1
+
+    def test_sylow_growth_builds_no_normalizer(self, monkeypatch):
+        def refused(G, H):
+            raise AssertionError("a normalizer group was built")
+
+        monkeypatch.setattr(perm, "normalizer", refused)
+        assert sylow_subgroup(PermGroup.symmetric(4), 2).order == 8
+        res = block_tower_search(*q8_pair())
+        assert isinstance(res, TowerResult) and res.ratios == [2, 2, 2]
 
     def test_rejects_outside_family(self):
         R = regular(GroupSpec.cyclic(9))
@@ -690,3 +713,40 @@ def test_tower_search_on_sampled_conjugates(spec):
         res = block_tower_search(R, T)
         assert isinstance(res, TowerResult)
         assert tuple(res.ratios) in patterns
+
+
+def two_group_tower_inputs():
+    """Pairs (R, T) whose towers reach 2-group levels above degree 4: for
+    six groups with a Sylow 2-subgroup of order 8 or 16, R regular and one
+    seeded conjugate from the inner holomorph and from the stabilizer of
+    each block system of R, kept when |<R, T>| <= 3000."""
+    specs = [GroupSpec.q8(), GroupSpec.cyclic(8),
+             GroupSpec.elementary_abelian_2(3),
+             GroupSpec.elementary_abelian_2(4),
+             GroupSpec.direct_product([GroupSpec.cyclic(3), GroupSpec.q8()]),
+             GroupSpec.zn_semidirect_y(3, 8, 2)]
+    pairs = []
+    for spec in specs:
+        R = regular(spec)
+        rng = random.Random(20)
+        pools = [inner_holomorph(spec)]
+        pools += [partition_stabilizer(bs) for bs in all_block_systems(R)]
+        for W in pools:
+            T = R.conjugate(W.element_at(rng.randrange(W.order)))
+            joint = PermGroup(R.degree, list(R.generators) + list(T.generators))
+            if joint.order <= 3000:
+                pairs.append((R, T))
+    return pairs
+
+
+def test_two_group_tower_certificates_are_pinned():
+    # 50 pairs, 16 of them conjugated into a common Sylow 2-subgroup
+    pairs = two_group_tower_inputs()
+    results = [block_tower_search(R, T) for R, T in pairs]
+    assert len(results) == 50
+    assert all(isinstance(res, TowerResult) for res in results)
+    assert sum(any(e.get("event") == "two_group_conjugated"
+                   for e in res.transcript) for res in results) == 16
+    cert = json.dumps([res.to_json() for res in results], sort_keys=True)
+    assert hashlib.sha256(cert.encode()).hexdigest() == (
+        "fddc1e0778d7d9a62d89eafe28d865e60d90c988b4888d5ea7ce0e3e8c3fc317")

@@ -195,6 +195,14 @@ class TestClosure:
             assert code == 2
 
 
+    def test_fixture_without_generators_is_usage_error(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "nogens.json"
+        path.write_text('{"degree": 4}')
+        code, payload = usage_error(capsys, "closure", "--fixture",
+                                    str(path))
+        assert code == 2 and "no 'generators' key" in payload["error"]
+
     def test_over_deep_fixture_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(DEEP)
@@ -279,6 +287,14 @@ class TestCiCheck:
                                     "--target-spec", "cyclic(4)")
         assert code == 2 and list(payload) == ["error"]
 
+    def test_fixture_without_generators_is_usage_error(self, capsys,
+                                                        tmp_path):
+        path = tmp_path / "nogens.json"
+        path.write_text('{"degree": 4}')
+        code, payload = usage_error(capsys, "ci-check", "--fixture",
+                                    str(path), "--target-spec", "cyclic(4)")
+        assert code == 2 and "no 'generators' key" in payload["error"]
+
 
 class TestTower:
     def test_same_group(self, capsys, tmp_path):
@@ -315,6 +331,12 @@ class TestTower:
         for pair in ((p12, p60), (p60, p12)):
             code, payload = usage_error(capsys, "tower", *pair)
             assert code == 2 and list(payload) == ["error"]
+
+    def test_group_without_degree_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nodegree.json"
+        path.write_text('{"generators": []}')
+        code, payload = usage_error(capsys, "tower", str(path), str(path))
+        assert code == 2 and "no 'degree' key" in payload["error"]
 
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "tower", str(tmp_path / "x.json"),

@@ -1,0 +1,68 @@
+"""Static checks on the package source, with the standard library's ast:
+no unused import and no private module-level function or class that
+nothing references."""
+
+import ast
+import os
+
+import pytest
+
+PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src", "cayleykit")
+MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+
+
+def parse(name):
+    with open(os.path.join(PACKAGE, name)) as fh:
+        return ast.parse(fh.read(), filename=name)
+
+
+def referenced(node):
+    """The names a node reads: bare names, attribute names and names
+    imported by `from ... import`."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
+def test_every_import_is_used(name):
+    tree = parse(name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(set(imported) - used) == []
+
+
+def test_every_private_definition_is_referenced():
+    # a reference from inside the definition itself, as in a recursive
+    # call, does not count
+    trees = {name: parse(name) for name in MODULES}
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = set()
+        for other, other_tree in trees.items():
+            if other != name:
+                elsewhere |= referenced(other_tree)
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            here = set().union(*(referenced(n) for n in tree.body
+                                 if n is not node))
+            if node.name not in here | elsewhere:
+                unused.append(f"{name}:{node.name}")
+    assert unused == []

@@ -5,14 +5,14 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cayleykit
 from cayleykit.cli import build_parser
 from cayleykit.closures import k_closure
 from cayleykit.perm import (CapExceededError, PermGroup, Permutation, _Chain,
-                            is_normal_in, normalizer, orbit, prime_factors,
-                            sylow_subgroup)
+                            _is_power_of, is_normal_in, normalizer, orbit,
+                            prime_factors, sylow_subgroup)
 from cayleykit.zoo import GroupSpec, inner_holomorph
 
 M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
@@ -132,6 +132,12 @@ class TestPermGroup:
         H = PermGroup.from_json(G.to_json())
         assert H.order == G.order and H.degree == G.degree
 
+    def test_from_json_names_a_missing_key(self):
+        for data, key in (({"degree": 4}, "'generators'"),
+                          ({"generators": []}, "'degree'")):
+            with pytest.raises(ValueError, match=key):
+                PermGroup.from_json(data)
+
 
 class TestSubgroupMachinery:
     def test_is_normal(self):
@@ -157,6 +163,40 @@ class TestSubgroupMachinery:
         V = PermGroup(4, [perm((0, 1), (2, 3), n=4)])
         P = sylow_subgroup(S4, 2, containing=V)
         assert P.order == 8 and V.is_subgroup_of(P)
+
+
+@st.composite
+def sylow_cases(draw):
+    """A random group of degree at most 7, a prime dividing its order and,
+    half the time, the cyclic p-subgroup of a power of one of its
+    elements for the result to contain."""
+    n = draw(st.integers(2, 7))
+    perms = st.permutations(range(n)).map(Permutation)
+    G = PermGroup(n, draw(st.lists(perms, min_size=1, max_size=3)))
+    assume(G.order > 1)
+    p = draw(st.sampled_from(sorted(set(prime_factors(G.order)))))
+    containing = None
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(G.elements()))
+        o = g.order()
+        while o % p == 0:
+            o //= p
+        containing = PermGroup(n, [g ** o])  # g^o has p-power order
+    return G, p, containing
+
+
+@settings(max_examples=60, deadline=None)
+@given(sylow_cases())
+def test_sylow_subgroup_is_sylow(case):
+    G, p, containing = case
+    P = sylow_subgroup(G, p, containing=containing)
+    part = 1
+    while G.order % (part * p) == 0:
+        part *= p
+    assert P.order == part and P.is_subgroup_of(G)
+    assert all(_is_power_of(g.order(), p) for g in P.elements())
+    if containing is not None:
+        assert containing.is_subgroup_of(P)
 
 
 def test_public_surface_has_no_limit_parameters():
