@@ -45,14 +45,17 @@ def parse_spec(text):
 
 
 def _read_group(path):
-    """The JSON object in a group file.  No stabilizer chain is built, so
-    a degree that cannot fit is refused before its chain runs for
-    minutes."""
+    """The JSON object in a group file, which must have degree and
+    generators keys.  No stabilizer chain is built, so a degree that
+    cannot fit is refused before its chain runs for minutes."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object with degree and "
                          "generators")
+    for key in ("degree", "generators"):
+        if key not in data:
+            raise ValueError(f"{path}: group JSON has no {key!r} key")
     return data
 
 
@@ -84,7 +87,7 @@ def cmd_construct(args):
 def cmd_closure(args):
     if args.fixture is not None:
         data = _read_group(args.fixture)
-        if isinstance(data.get("degree"), int):
+        if isinstance(data["degree"], int):
             check_budget(data["degree"], args.k)
         G = PermGroup.from_json(data)
         source = {"fixture": args.fixture}
@@ -104,8 +107,8 @@ def cmd_ci_check(args):
     target = parse_spec(args.target_spec)
     if args.fixture is not None:
         data = _read_group(args.fixture)
-        if data.get("degree") != target.size:
-            raise ValueError(f"fixture degree {data.get('degree')!r} must "
+        if data["degree"] != target.size:
+            raise ValueError(f"fixture degree {data['degree']!r} must "
                              f"equal the target order {target.size}")
         A = PermGroup.from_json(data)
     else:
@@ -118,7 +121,7 @@ def cmd_ci_check(args):
 
 def cmd_tower(args):
     first, second = (_read_group(path) for path in args.groups)
-    if first.get("degree") != second.get("degree"):
+    if first["degree"] != second["degree"]:
         raise ValueError("the two groups must have the same degree")
     R, T = PermGroup.from_json(first), PermGroup.from_json(second)
     result = block_tower_search(R, T)

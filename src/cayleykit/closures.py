@@ -97,34 +97,57 @@ def _orbit_labels(gens, n, k):
     x, and (x, t) lies in the orbit of (r, u_x^-1 t).  So the tuples that
     start in O take r * n^(k-1) plus the labels of the (k-1)-tuples under
     the stabilizer of r, which Schreier's lemma generates by u_sx^-1 s u_x.
+
+    The rows are filled along the breadth-first search of O: if y = s x,
+    then (y, t) = s (x, s^-1 t), so row y is row x gathered through the
+    codes of s^-1 on (k-1)-tuples.  Each generator's code table is built
+    once, on first use, not once per point.  Rows, transversal elements
+    and Schreier generators are all itemgetter gathers, so no Python loop
+    runs over a row or a permutation.
     """
-    if not gens:
+    if not gens or n < 2:  # below two points every tuple is its own orbit
         return list(range(n ** k))
+    if k == 1:
+        rows = [None] * n
+        for r in range(n):
+            if rows[r] is None:
+                for x in orbit(r, gens, lambda x, s: s[x]):
+                    rows[x] = r
+        return rows
     identity = tuple(range(n))
+    inverses = [tuple(sorted(identity, key=s.__getitem__)) for s in gens]
+    # as image tuples, by[j](t) is t gens[j] and by_inverse[j](t) is
+    # t gens[j]^-1
+    by = [itemgetter(*s) for s in gens]
+    by_inverse = [itemgetter(*s) for s in inverses]
+    gathers = [None] * len(gens)  # row gathers through s^-1, on first use
     rows = [None] * n  # rows[x]: the labels of the tuples starting with x
     for r in range(n):
         if rows[r] is not None:
             continue
         u = {r: identity}
+        inv = {r: identity}
         reach = [r]
+        parent = {}  # parent[y]: (x, j) with y = gens[j] x
+        stab = set()
         for x in reach:
-            for s in gens:
+            via = itemgetter(*u[x])  # via(t) is t u_x
+            for j, s in enumerate(gens):
                 y = s[x]
                 if y not in u:
-                    u[y] = tuple([s[i] for i in u[x]])
+                    u[y] = via(s)
+                    inv[y] = by_inverse[j](inv[x])
+                    parent[y] = (x, j)
                     reach.append(y)
-        if k == 1:
-            for x in reach:
-                rows[x] = (r,)
-            continue
-        inv = {x: sorted(identity, key=ux.__getitem__) for x, ux in u.items()}
-        stab = {tuple([inv[s[x]][s[i]] for i in ux])
-                for x, ux in u.items() for s in gens}
+                stab.add(via(by[j](inv[y])))
         stab.discard(identity)
         offset = r * n ** (k - 1)
-        sub = [offset + c for c in _orbit_labels(list(stab), n, k - 1)]
-        for x in reach:
-            rows[x] = [sub[c] for c in _tuple_codes(inv[x], n, k - 1)]
+        rows[r] = [offset + c for c in _orbit_labels(list(stab), n, k - 1)]
+        for y in reach[1:]:
+            x, j = parent[y]
+            if gathers[j] is None:
+                gathers[j] = itemgetter(*_tuple_codes(inverses[j], n, k - 1))
+            rows[y] = gathers[j](rows[x])
     return list(itertools.chain.from_iterable(rows))
 
 
@@ -169,6 +192,13 @@ def automorphisms(S):
     that `consistent` rejects, and the search accepts the same images in
     the same order as a scan of the whole point class.
 
+    `consistent(partial, x, y)` compares every tuple over 0..x that holds
+    x with its image under f = partial + {x: y}.  Since f holds 0..x in
+    order, the tuples of one comparison are a slice of a row or column
+    of the table, contiguous or strided, of length x+1, and their images
+    are one itemgetter pick at f(0), ..., f(x) from the image row or
+    column: no per-tuple Python work.
+
     Levels run from n-1 down to 0, so a generator found at level i fixes
     0..i-1 and moves i, and the orbit of i is complete when the search
     leaves level i.  The generators are thus a strong generating set for
@@ -196,27 +226,36 @@ def automorphisms(S):
             return colors[x] == colors[y]
     elif k == 2:
         def consistent(partial, x, y):
-            for a, b in partial.items():
-                if colors[x * n + a] != colors[y * n + b]:
-                    return False
-                if colors[a * n + x] != colors[b * n + y]:
-                    return False
-            return colors[x * n + x] == colors[y * n + y]
+            # row x and column x at 0..x against row y and column y at
+            # f(0), ..., f(x-1), y; at x = 0 only the diagonal is left, and
+            # an itemgetter of one index would return no tuple
+            if not x:
+                return classes[0] == classes[y]
+            pick = itemgetter(*partial.values(), y)
+            return (colors[x * n:x * n + x + 1]
+                    == pick(colors[y * n:y * n + n])
+                    and colors[x:x * n + x + 1:n] == pick(colors[y::n]))
     else:
         nn = n * n
 
         def consistent(partial, x, y):
-            # for each a, the rows (x, a, .), (a, x, .) and (a, ., x) at
-            # the assigned points against the rows of their images
-            xs, ys = list(partial) + [x], list(partial.values()) + [y]
-            pick_x, pick_y = itemgetter(*xs), itemgetter(*ys)
-            for a, fa in zip(xs, ys):
-                for s, t, step in (((x * n + a) * n, (y * n + fa) * n, 1),
-                                   ((a * n + x) * n, (fa * n + y) * n, 1),
-                                   (a * nn + x, fa * nn + y, n)):
-                    if pick_x(colors[s:s + n * step:step]) \
-                            != pick_y(colors[t:t + n * step:step]):
-                        return False
+            # for each a <= x, the rows (x, a, .), (a, x, .) and (a, ., x)
+            # at 0..x against the rows of their images at f(0..x); x = 0 as
+            # for k = 2
+            if not x:
+                return classes[0] == classes[y]
+            ys = (*partial.values(), y)
+            pick = itemgetter(*ys)
+            for a, fa in enumerate(ys):
+                s, t = (x * n + a) * n, (y * n + fa) * n
+                if colors[s:s + x + 1] != pick(colors[t:t + n]):
+                    return False
+                s, t = (a * n + x) * n, (fa * n + y) * n
+                if colors[s:s + x + 1] != pick(colors[t:t + n]):
+                    return False
+                s, t = a * nn + x, fa * nn + y
+                if colors[s:s + (x + 1) * n:n] != pick(colors[t:t + nn:n]):
+                    return False
             return True
 
     def complete(partial, used):
@@ -244,7 +283,7 @@ def automorphisms(S):
 
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
-        fixed = {j: j for j in range(i)}
+        fixed = dict(zip(range(i), range(i)))
         if i:
             candidates = bucket(0)[colors[i * lead]]
         else:

@@ -338,6 +338,16 @@ class TestTower:
         code, payload = usage_error(capsys, "tower", str(path), str(path))
         assert code == 2 and "no 'degree' key" in payload["error"]
 
+    def test_one_group_without_degree_names_the_key(self, capsys, tmp_path,
+                                                    monkeypatch):
+        p4 = write_group_file(tmp_path, "z4.json", GroupSpec.cyclic(4))
+        path = tmp_path / "nodegree.json"
+        path.write_text('{"generators": []}')
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        for pair in ((p4, str(path)), (str(path), p4)):
+            code, payload = usage_error(capsys, "tower", *pair)
+            assert code == 2 and "no 'degree' key" in payload["error"]
+
     def test_missing_file(self, capsys, tmp_path):
         code, _ = run(capsys, "tower", str(tmp_path / "x.json"),
                       str(tmp_path / "y.json"))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -140,10 +141,19 @@ def generator_sets(draw, max_degree=7):
     return n, gens
 
 
-@settings(max_examples=60, deadline=None)
-@given(generator_sets(), st.sampled_from((1, 2, 3)))
-def test_orbit_coloring_matches_reference(group, k):
+def n_cycle(n):
+    return Permutation(list(range(1, n)) + [0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets(), st.booleans(), st.sampled_from((1, 2, 3)))
+def test_orbit_coloring_matches_reference(group, transitive, k):
+    # with an n-cycle appended the group is transitive, so the rows are
+    # gathered across one orbit of every point and the stabilizer of 0
+    # carries the recursion
     n, gens = group
+    if n and transitive:
+        gens = gens + [n_cycle(n)]
     S = orbit_coloring(PermGroup(n, gens), k)
     assert S.colors == reference_orbit_coloring(n, k,
                                                 [g.images for g in gens])
@@ -277,7 +287,7 @@ def search_inputs(draw):
         return draw(colorings(9))
     n, gens = draw(generator_sets(9))
     if n and draw(st.booleans()):
-        gens.append(Permutation(list(range(1, n)) + [0]))
+        gens.append(n_cycle(n))
     return orbit_coloring(PermGroup(n, gens), draw(st.sampled_from((1, 2, 3))))
 
 
@@ -288,8 +298,10 @@ def test_automorphisms_find_the_reference_generators(S):
         == found_generators(reference_automorphisms, S)
 
 
+@functools.cache
 def pinned_colorings():
-    """Orbit colorings of relabeled groups near the degree budgets."""
+    """Orbit colorings of relabeled groups near the degree budgets, built
+    once for every test that reads them."""
     cases = [(regular(GroupSpec.cyclic(252)), 2),
              (regular(GroupSpec.dihedral(100)), 2),
              (regular(GroupSpec.cyclic(64)), 3),
@@ -301,7 +313,15 @@ def pinned_colorings():
     for G, k in cases:
         c = Permutation(rng.sample(range(G.degree), G.degree))
         out.append(orbit_coloring(G.conjugate(c), k))
-    return out
+    return tuple(out)
+
+
+def test_closure_colors_are_pinned():
+    # taken from the per-point row kernel; the canonical colors, numbered
+    # by first occurrence
+    colors = [list(S.colors) for S in pinned_colorings()]
+    assert hashlib.sha256(json.dumps(colors).encode()).hexdigest() \
+        == "2beacff02d0d8bc205c85b6db8961a1bd4119b1be1053a5a9147a489e52c029a"
 
 
 def test_closure_generators_are_pinned():
@@ -337,6 +357,22 @@ def test_closure_chains_are_bsgs():
                    for _ in range(50))
 
 
+def test_orbit_labels_build_one_code_table_per_generator(monkeypatch):
+    # on regular Z64 at k = 3 the rows of the one orbit are gathered
+    # through the code table of the generator that reached each point; a
+    # table per point cost 64 calls
+    G = regular(GroupSpec.cyclic(64))
+    calls = []
+
+    def counting(digit, radix, k):
+        calls.append(k)
+        return _tuple_codes(digit, radix, k)
+
+    monkeypatch.setattr(closures, "_tuple_codes", counting)
+    orbit_coloring(G, 3)
+    assert 1 <= len(calls) <= len(G.generators)
+
+
 class CountingColors(tuple):
     """A color table that counts its lookups."""
     lookups = 0
@@ -348,13 +384,14 @@ class CountingColors(tuple):
 
 def test_level_scans_take_candidates_from_buckets(monkeypatch):
     # on regular Z252 at k = 2 every level above 0 has one candidate left,
-    # the point itself; scanning the whole diagonal class instead cost
-    # 190,259 lookups in all, and the buckets need 127,513
+    # the point itself; a slice counts as one lookup, and scanning the
+    # whole diagonal class instead cost 64,255 lookups in all, while the
+    # buckets need 1,509
     S = orbit_coloring(regular(GroupSpec.cyclic(252)), 2)
     S.colors = CountingColors(S.colors)
     monkeypatch.setattr(CountingColors, "lookups", 0)
     assert automorphisms(S).order == 252
-    assert CountingColors.lookups < 140_000
+    assert CountingColors.lookups < 5_000
 
 
 class TestAutomorphisms:

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ast:
-no unused import and no private module-level function or class that
-nothing references."""
+no unused import, no private module-level function or class that
+nothing references, and oracles that do not call the kernels they
+check."""
 
 import ast
 import os
@@ -66,3 +67,17 @@ def test_every_private_definition_is_referenced():
             if node.name not in here | elsewhere:
                 unused.append(f"{name}:{node.name}")
     assert unused == []
+
+
+def test_closure_oracles_do_not_use_the_kernels():
+    # is_automorphism and brute_force_automorphisms check orbit_coloring
+    # and automorphisms, so they must not reach the tuple-table kernels or
+    # anything defined inside automorphisms
+    defs = {node.name: node for node in parse("closures.py").body
+            if isinstance(node, ast.FunctionDef)}
+    inner = {node.name for node in ast.walk(defs["automorphisms"])
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    kernels = {"_orbit_labels", "_tuple_codes"} | inner - {"automorphisms"}
+    assert {"consistent", "complete"} <= kernels
+    for oracle in ("is_automorphism", "brute_force_automorphisms"):
+        assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
