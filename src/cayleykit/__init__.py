@@ -11,9 +11,8 @@ from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      all_block_systems, block_restriction,
-                     classify_block_system, fix_blocks,
-                     minimal_block_containing, pullback_system, refines,
-                     verify_tower)
+                     classify_block_system, minimal_block_containing,
+                     pullback_system, refines, verify_tower)
 from .zoo import (GroupSpec, LabeledPermGroup, cor2_groups,
                   frobenius_natural_action, group_in_family_R,
                   inner_holomorph, isomorphic_groups, isomorphic_to_spec,

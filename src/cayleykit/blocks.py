@@ -169,14 +169,6 @@ def pullback_system(quotient_bs, bs):
     return BlockSystem(bs.degree, cells)
 
 
-def fix_blocks(G, bs):
-    """The kernel of G's action on the blocks of bs; no element of G is
-    enumerated."""
-    if not bs.is_invariant_under(G):
-        raise ValueError("partition is not invariant under G")
-    return PermGroup(G.degree, _kernel_generators(G, bs))
-
-
 def _block_image(p, bs, idx):
     """The permutation induced by p on block indices."""
     return Permutation(idx[p(cell[0])] for cell in bs.blocks)

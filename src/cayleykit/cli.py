@@ -14,7 +14,7 @@ import time
 
 from .ci import TowerResult, babai_check, block_tower_search
 from .closures import BudgetExceededError, check_budget, k_closure
-from .perm import CapExceededError, PermGroup
+from .perm import CapExceededError, PermGroup, parse_group_json
 from .repro import CLAIMS, run_claim
 from .zoo import SPEC_PARAMS, GroupSpec, inner_holomorph, regular_representation
 
@@ -45,18 +45,15 @@ def parse_spec(text):
 
 
 def _read_group(path):
-    """The JSON object in a group file, which must have degree and
-    generators keys.  No stabilizer chain is built, so a degree that
-    cannot fit is refused before its chain runs for minutes."""
+    """The degree and generators in a group file.  No stabilizer chain is
+    built, so a degree that cannot fit is refused before its chain runs
+    for minutes."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object with degree and "
-                         "generators")
-    for key in ("degree", "generators"):
-        if key not in data:
-            raise ValueError(f"{path}: group JSON has no {key!r} key")
-    return data
+    try:
+        return parse_group_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _group_json(G):
@@ -86,10 +83,9 @@ def cmd_construct(args):
 
 def cmd_closure(args):
     if args.fixture is not None:
-        data = _read_group(args.fixture)
-        if isinstance(data["degree"], int):
-            check_budget(data["degree"], args.k)
-        G = PermGroup.from_json(data)
+        degree, gens = _read_group(args.fixture)
+        check_budget(degree, args.k)
+        G = PermGroup(degree, gens)
         source = {"fixture": args.fixture}
     else:
         spec = parse_spec(args.spec)
@@ -106,11 +102,11 @@ def cmd_closure(args):
 def cmd_ci_check(args):
     target = parse_spec(args.target_spec)
     if args.fixture is not None:
-        data = _read_group(args.fixture)
-        if data["degree"] != target.size:
-            raise ValueError(f"fixture degree {data['degree']!r} must "
+        degree, gens = _read_group(args.fixture)
+        if degree != target.size:
+            raise ValueError(f"fixture degree {degree} must "
                              f"equal the target order {target.size}")
-        A = PermGroup.from_json(data)
+        A = PermGroup(degree, gens)
     else:
         A = inner_holomorph(parse_spec(args.spec))
     verdict = babai_check(A, target)
@@ -121,9 +117,9 @@ def cmd_ci_check(args):
 
 def cmd_tower(args):
     first, second = (_read_group(path) for path in args.groups)
-    if first["degree"] != second["degree"]:
+    if first[0] != second[0]:
         raise ValueError("the two groups must have the same degree")
-    R, T = PermGroup.from_json(first), PermGroup.from_json(second)
+    R, T = PermGroup(*first), PermGroup(*second)
     result = block_tower_search(R, T)
     if isinstance(result, TowerResult):
         _emit(result.to_json(), args.out)

@@ -287,33 +287,22 @@ class _Chain:
         return residue.is_identity()
 
     def elements(self):
-        """All elements, in the order induced by transversal traversal."""
-
-        def walk(i):
-            if i == len(self.transversals):
-                yield self.identity
-                return
-            t = self.transversals[i]
-            for x in sorted(t):
-                u = t[x]
-                for rest in walk(i + 1):
-                    yield u * rest
-
-        return walk(0)
+        """All elements, level 0 most significant and each level's points
+        sorted; built from the last level up, one product per element."""
+        out = [self.identity]
+        for t in reversed(self.transversals):
+            out = [t[x] * r for x in sorted(t) for r in out]
+        return out
 
     def element_with_base_images(self, images):
         """An element mapping base[i] -> images[i] for i < len(images), or None."""
         g = self.identity
-        residual = list(images)
-        for i, want in enumerate(residual):
+        for i, want in enumerate(images):
             t = self.transversals[i]
-            if want not in t:
+            x = g.inverse()(want)
+            if x not in t:
                 return None
-            u = t[want]
-            g = g * u
-            uinv = u.inverse()
-            for j in range(i + 1, len(residual)):
-                residual[j] = uinv(residual[j])
+            g = g * t[x]
         return g
 
 
@@ -377,7 +366,7 @@ class PermGroup:
         if self.order > cap:
             raise CapExceededError(
                 f"group order {self.order} exceeds cap {cap}")
-        return list(self._chain.elements())
+        return self._chain.elements()
 
     def element_at(self, i):
         """elements()[i] without listing the elements: i in mixed radix
@@ -432,17 +421,24 @@ class PermGroup:
 
     @classmethod
     def from_json(cls, data):
-        for key in ("degree", "generators"):
-            if key not in data:
-                raise ValueError(f"group JSON has no {key!r} key")
-        degree, gens = data["degree"], data["generators"]
-        if not isinstance(degree, int) or isinstance(degree, bool) \
-                or degree < 0:
-            raise ValueError(f"degree must be a non-negative int: {degree!r}")
-        if not isinstance(gens, list) \
-                or not all(isinstance(g, list) for g in gens):
-            raise ValueError("generators must be a list of image lists")
-        return cls(degree, [Permutation(imgs) for imgs in gens])
+        return cls(*parse_group_json(data))
+
+
+def parse_group_json(data):
+    """The degree and generators of a group JSON object, with its keys
+    and types checked; no stabilizer chain is built."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object with degree and generators")
+    for key in ("degree", "generators"):
+        if key not in data:
+            raise ValueError(f"group JSON has no {key!r} key")
+    degree, gens = data["degree"], data["generators"]
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+        raise ValueError(f"degree must be a non-negative int: {degree!r}")
+    if not isinstance(gens, list) \
+            or not all(isinstance(g, list) for g in gens):
+        raise ValueError("generators must be a list of image lists")
+    return degree, [Permutation(imgs) for imgs in gens]
 
 
 def is_normal_in(N, G):

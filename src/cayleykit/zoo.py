@@ -302,26 +302,26 @@ class LabeledPermGroup:
         self.side = side
 
 
+def _translations(spec, side):
+    """The left or right translations by the generator labels."""
+    def act(g, x):
+        return spec.mult(g, x) if side == "left" else spec.mult(x, g)
+    return [Permutation(act(g, x) for x in range(spec.size))
+            for g in spec.generator_labels()]
+
+
 def regular_representation(spec, side="left"):
     """Left or right translation action on the element labels."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = spec.size
-    gens = []
-    for g in spec.generator_labels():
-        if side == "left":
-            gens.append(Permutation(spec.mult(g, x) for x in range(n)))
-        else:
-            gens.append(Permutation(spec.mult(x, g) for x in range(n)))
-    return LabeledPermGroup(PermGroup(n, gens), spec, side)
+    return LabeledPermGroup(PermGroup(spec.size, _translations(spec, side)),
+                            spec, side)
 
 
 def inner_holomorph(spec):
     """The group generated by both regular representations, <G_L, G_R>."""
-    left = regular_representation(spec, "left")
-    right = regular_representation(spec, "right")
-    gens = list(left.group.generators) + list(right.group.generators)
-    return PermGroup(spec.size, gens)
+    return PermGroup(spec.size, _translations(spec, "left")
+                     + _translations(spec, "right"))
 
 
 def holomorph_pair_permutation(spec, u, v):

@@ -119,7 +119,11 @@ class TestPermGroup:
     @pytest.mark.parametrize("G", [
         PermGroup.symmetric(4),
         PermGroup(4, [perm((0, 1, 2), n=4), perm((1, 2, 3), n=4)]),
-        PermGroup.trivial(3)], ids=["s4", "a4", "trivial"])
+        PermGroup.trivial(3),
+        inner_holomorph(GroupSpec.frobenius(7, 3)),
+        PermGroup(6, [perm((0, 1), n=6), perm((0, 2, 4), (1, 3, 5), n=6),
+                      perm((0, 2), (1, 3), n=6)])],
+        ids=["s4", "a4", "trivial", "holomorph-frobenius-7-3", "s2-wr-s3"])
     def test_element_at_matches_elements(self, G):
         elems = G.elements()
         assert [G.element_at(i) for i in range(G.order)] == elems
