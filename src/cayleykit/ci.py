@@ -17,7 +17,7 @@ from typing import Optional
 
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
                      classify_block_system, pullback_system, verify_tower)
-from .closures import DEGREE_BUDGET, is_k_closed
+from .closures import check_budget, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _is_power_of, _is_prime, orbit,
                    prime_factors, sylow_subgroup)
@@ -274,8 +274,7 @@ def holomorph_witness(spec):
     are conjugate inside it.  A 3-closed holomorph with nonconjugate
     left/right copies certifies a non-CI ternary structure.
     """
-    if spec.size > DEGREE_BUDGET[3]:
-        raise ValueError("group order exceeds the arity-3 closure budget")
+    check_budget(spec.size, 3)
     A = inner_holomorph(spec)
     GL = regular_representation(spec, "left").group
     GR = regular_representation(spec, "right").group

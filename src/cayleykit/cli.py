@@ -13,7 +13,8 @@ import sys
 import time
 
 from .ci import TowerResult, babai_check, block_tower_search
-from .closures import BudgetExceededError, check_budget, k_closure
+from .closures import (DEGREE_BUDGET, BudgetExceededError, check_budget,
+                       k_closure)
 from .perm import CapExceededError, PermGroup, parse_group_json
 from .repro import CLAIMS, run_claim
 from .zoo import SPEC_PARAMS, GroupSpec, inner_holomorph, regular_representation
@@ -163,7 +164,7 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--spec")
     source.add_argument("--fixture", help="path to a PermGroup JSON file")
-    p.add_argument("--k", type=int, choices=[1, 2, 3], default=2)
+    p.add_argument("--k", type=int, choices=sorted(DEGREE_BUDGET), default=2)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_closure)
 

@@ -71,9 +71,9 @@ class ColoredStructure:
 
 
 def check_budget(n, k):
-    """Refuse an arity other than 1, 2 or 3, or a degree over its budget."""
+    """Refuse an arity without a budget, or a degree over its budget."""
     if k not in DEGREE_BUDGET:
-        raise ValueError("arity must be 1, 2 or 3")
+        raise ValueError(f"arity must be one of {sorted(DEGREE_BUDGET)}")
     if n > DEGREE_BUDGET[k]:
         raise BudgetExceededError(
             f"degree {n} exceeds budget {DEGREE_BUDGET[k]} for arity {k}")
@@ -181,23 +181,26 @@ def automorphisms(S):
     Points are assigned in order 0, 1, ..., so a partial map f always
     holds exactly 0..len(f)-1, in that order.
 
-    An automorphism keeps the color of each diagonal tuple (x, ..., x), so
-    level 0 tries the points whose diagonal tuple has 0's color.  On an
-    orbit coloring of G these point classes are the G-orbits, which are
-    the orbits of the automorphism group.  Every later point x is tried
-    only on the points y, ascending, whose tuple (y, f(0), ..., f(0)) has
-    the color of (x, 0, ..., 0): bucket(b) groups the points by the color
-    of (y, b, ..., b), built once per b.  That pair of tuples is one of
-    the comparisons `consistent` makes, so a bucket drops only candidates
-    that `consistent` rejects, and the search accepts the same images in
-    the same order as a scan of the whole point class.
+    An automorphism keeps the color of each diagonal tuple (x, ..., x);
+    level 0 tries every point, and `consistent` drops those whose diagonal
+    tuple lacks 0's color.  On an orbit coloring of G these point classes
+    are the G-orbits, which are the orbits of the automorphism group.
+    Every later point x is tried only on the points y, ascending, whose
+    tuple (y, f(0), ..., f(0)) has the color of (x, 0, ..., 0): bucket(b)
+    groups the points by the color of (y, b, ..., b), built once per b.
+    That pair of tuples is one of the comparisons `consistent` makes, so a
+    bucket drops only candidates that `consistent` rejects, and the search
+    accepts the same images in the same order as a scan of the whole point
+    class.
 
     `consistent(partial, x, y)` compares every tuple over 0..x that holds
-    x with its image under f = partial + {x: y}.  Since f holds 0..x in
-    order, the tuples of one comparison are a slice of a row or column
-    of the table, contiguous or strided, of length x+1, and their images
-    are one itemgetter pick at f(0), ..., f(x) from the image row or
-    column: no per-tuple Python work.
+    x with its image under f = partial + {x: y}.  The diagonal tuple comes
+    first; at x = 0 it is the only one.  The rest are taken by the position
+    j of x: the tuples run along the last coordinate other than j, over
+    0..x, for every choice of the k - 2 coordinates left over 0..x.  Since
+    f holds 0..x in order, such a run is a slice of the table, of length
+    x+1, and its image is one itemgetter pick at f(0), ..., f(x) from the
+    image slice of length n: no per-tuple Python work.
 
     Levels run from n-1 down to 0, so a generator found at level i fixes
     0..i-1 and moves i, and the orbit of i is complete when the search
@@ -207,11 +210,17 @@ def automorphisms(S):
     n, k = S.degree, S.arity
     check_budget(n, k)
     colors = S.colors
-    # (x, ..., x) is encoded as x * (1 + n + ... + n^(k-1)), and
-    # (y, b, ..., b) as y * lead + b * (1 + n + ... + n^(k-2))
-    diagonal = sum(n ** i for i in range(k))
-    lead = n ** (k - 1)
-    classes = colors[::diagonal]
+    # the code of (x_1..x_k) is the sum of x_i * strides[i], so (x, ..., x)
+    # is x * diagonal, and (y, b, ..., b) is y * lead + b * (diagonal - lead)
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    diagonal, lead = sum(strides), strides[0]
+    # per position j of the new point: its stride, the stride of the slice
+    # (the last coordinate other than j) and the strides left; there is no
+    # slice at k = 1, where the diagonal is the whole check
+    shapes = [(own, step, rest[:-1])
+              for j, own in enumerate(strides)
+              for rest in [strides[:j] + strides[j + 1:]]
+              for step in rest[-1:]]
     buckets = {}
 
     def bucket(b):
@@ -221,42 +230,26 @@ def automorphisms(S):
                 row.setdefault(c, []).append(y)
         return buckets[b]
 
-    if k == 1:
-        def consistent(partial, x, y):
-            return colors[x] == colors[y]
-    elif k == 2:
-        def consistent(partial, x, y):
-            # row x and column x at 0..x against row y and column y at
-            # f(0), ..., f(x-1), y; at x = 0 only the diagonal is left, and
-            # an itemgetter of one index would return no tuple
-            if not x:
-                return classes[0] == classes[y]
-            pick = itemgetter(*partial.values(), y)
-            return (colors[x * n:x * n + x + 1]
-                    == pick(colors[y * n:y * n + n])
-                    and colors[x:x * n + x + 1:n] == pick(colors[y::n]))
-    else:
-        nn = n * n
-
-        def consistent(partial, x, y):
-            # for each a <= x, the rows (x, a, .), (a, x, .) and (a, ., x)
-            # at 0..x against the rows of their images at f(0..x); x = 0 as
-            # for k = 2
-            if not x:
-                return classes[0] == classes[y]
-            ys = (*partial.values(), y)
-            pick = itemgetter(*ys)
-            for a, fa in enumerate(ys):
-                s, t = (x * n + a) * n, (y * n + fa) * n
-                if colors[s:s + x + 1] != pick(colors[t:t + n]):
-                    return False
-                s, t = (a * n + x) * n, (fa * n + y) * n
-                if colors[s:s + x + 1] != pick(colors[t:t + n]):
-                    return False
-                s, t = a * nn + x, fa * nn + y
-                if colors[s:s + (x + 1) * n:n] != pick(colors[t:t + nn:n]):
-                    return False
+    def consistent(partial, x, y):
+        # the diagonal first: at x = 0 it is the only tuple, and an
+        # itemgetter of one index would return no tuple
+        if colors[x * diagonal] != colors[y * diagonal]:
+            return False
+        if not x:
             return True
+        ys = (*partial.values(), y)
+        pick = itemgetter(*ys)
+        for own, step, rest in shapes:
+            # the starts of the lines over 0..x, and of their images
+            here, there = [x * own], [y * own]
+            for o in rest:
+                here = [s + a * o for s in here for a in range(x + 1)]
+                there = [t + b * o for t in there for b in ys]
+            stop, span = x * step + 1, n * step
+            for s, t in zip(here, there):
+                if colors[s:s + stop:step] != pick(colors[t:t + span:step]):
+                    return False
+        return True
 
     def complete(partial, used):
         """Extend a consistent partial map over all points; None if stuck."""
@@ -284,11 +277,7 @@ def automorphisms(S):
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
         fixed = dict(zip(range(i), range(i)))
-        if i:
-            candidates = bucket(0)[colors[i * lead]]
-        else:
-            candidates = [y for y in range(n) if classes[y] == classes[0]]
-        for y in candidates:
+        for y in bucket(0)[colors[i * lead]] if i else range(n):
             if y in orb or y <= i or not consistent(fixed, i, y):
                 continue
             partial = dict(fixed)

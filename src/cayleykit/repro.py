@@ -273,6 +273,14 @@ def claim_zsigmondy_table():
                    ok)
 
 
+def _natural_d8_a4():
+    """D8 and A4 in their natural actions on 4 points."""
+    return (PermGroup(4, [Permutation([1, 2, 3, 0]),
+                          Permutation([2, 1, 0, 3])]),
+            PermGroup(4, [Permutation([1, 2, 0, 3]),
+                          Permutation([1, 0, 3, 2])]))
+
+
 def _blocks_corpus():
     reg = [GroupSpec.cyclic(n) for n in range(2, 9)]
     reg += [GroupSpec.elementary_abelian_2(2), GroupSpec.elementary_abelian_2(3),
@@ -281,13 +289,9 @@ def _blocks_corpus():
                                       GroupSpec.cyclic(2)])]
     groups = [(f"{s.kind}-{s.size}-regular",
                regular_representation(s, "left").group) for s in reg]
-    groups.append(("s4-natural", PermGroup.symmetric(4)))
-    groups.append(("d8-natural",
-                   PermGroup(4, [Permutation([1, 2, 3, 0]),
-                                 Permutation([2, 1, 0, 3])])))
-    groups.append(("a4-natural",
-                   PermGroup(4, [Permutation([1, 2, 0, 3]),
-                                 Permutation([1, 0, 3, 2])])))
+    d8, a4 = _natural_d8_a4()
+    groups += [("s4-natural", PermGroup.symmetric(4)), ("d8-natural", d8),
+               ("a4-natural", a4)]
     return groups
 
 
@@ -355,8 +359,7 @@ def claim_tower_dic3(seed=20210921):
 
 
 def _regular_oracle_corpus():
-    d8 = PermGroup(4, [Permutation([1, 2, 3, 0]), Permutation([2, 1, 0, 3])])
-    a4 = PermGroup(4, [Permutation([1, 2, 0, 3]), Permutation([1, 0, 3, 2])])
+    d8, a4 = _natural_d8_a4()
     hol_q8 = inner_holomorph(GroupSpec.q8())
     z4z2 = GroupSpec.direct_product([GroupSpec.cyclic(4), GroupSpec.cyclic(2)])
     return [
@@ -373,9 +376,10 @@ def _regular_oracle_corpus():
 
 
 def claim_regular_subgroups_oracle():
+    corpus = _regular_oracle_corpus()
     rows = []
     ok = True
-    for name, A, specs in _regular_oracle_corpus():
+    for name, A, specs in corpus:
         for spec, want in zip(specs, regular_class_scan(A, specs)):
             got = regular_subgroups(A, spec)
             match = len(got) == len(want)
@@ -385,7 +389,7 @@ def claim_regular_subgroups_oracle():
                          "match": match})
             ok = ok and match
     return _report("regular-subgroups-oracle",
-                   {"ambients": len(_regular_oracle_corpus())},
+                   {"ambients": len(corpus)},
                    {"rows": rows}, ok)
 
 

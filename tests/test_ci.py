@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cayleykit import perm
+from cayleykit import ci, perm
 from cayleykit.blocks import (BlockSystem, all_block_systems,
                               classify_block_system)
 from cayleykit.ci import (CiVerdict, TowerResult, _semiregular_order,
@@ -15,7 +15,7 @@ from cayleykit.ci import (CiVerdict, TowerResult, _semiregular_order,
                           block_tower_search, canonical_ratio_patterns,
                           holomorph_witness, partition_transporter,
                           regular_subgroups)
-from cayleykit.closures import k_closure
+from cayleykit.closures import BudgetExceededError, k_closure
 from cayleykit.perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP,
                             CapExceededError, PermGroup, Permutation,
                             sylow_subgroup)
@@ -451,7 +451,7 @@ class TestHolomorphWitness:
                        "left_right_conjugate": False}
 
     def test_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceededError):
             holomorph_witness(GroupSpec.cyclic(100))
 
 
@@ -582,6 +582,36 @@ class TestTowerSearch:
         assert sylow_subgroup(PermGroup.symmetric(4), 2).order == 8
         res = block_tower_search(*q8_pair())
         assert isinstance(res, TowerResult) and res.ratios == [2, 2, 2]
+
+    def test_failure_when_the_descent_finds_no_conjugator(self, monkeypatch):
+        def stuck(R, T, ambient, transcript):
+            transcript.append({"event": "alignment_failed", "prime": 3})
+            return None, None, None, None
+
+        monkeypatch.setattr(ci, "_descend", stuck)
+        R = regular(GroupSpec.cyclic(12))
+        assert block_tower_search(R, R) == {
+            "status": "failure",
+            "transcript": [{"event": "alignment_failed", "prime": 3}]}
+
+    def test_failure_when_the_tower_does_not_verify(self, monkeypatch):
+        # the tower checked top down: the one block does not refine the
+        # next system, so the check breaks at index 1
+        verify, checked = ci.verify_tower, []
+
+        def upside_down(G, towers):
+            checked.append(verify(G, towers[::-1]))
+            return checked[-1]
+
+        monkeypatch.setattr(ci, "verify_tower", upside_down)
+        R = regular(GroupSpec.cyclic(12))
+        res = block_tower_search(R, R)
+        assert res == {"status": "failure",
+                       "transcript": [{"event": "aligned", "prime": 3,
+                                       "block_size": 3}],
+                       "verify": checked[0]}
+        assert checked[0]["m_step"] is False
+        assert checked[0]["broken_at"] == 1
 
     def test_rejects_outside_family(self):
         R = regular(GroupSpec.cyclic(9))

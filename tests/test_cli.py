@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cayleykit import perm
+from cayleykit import ci, perm
 from cayleykit.cli import main, parse_spec
 from cayleykit.perm import PermGroup
 from cayleykit.zoo import SPEC_PARAMS, GroupSpec
@@ -317,6 +317,20 @@ class TestTower:
         assert code == 0
         assert payload["ratios"] == []
         assert payload["tower"] == [{"degree": 1, "blocks": [[0]]}]
+
+    def test_failure_prints_the_result_and_exits_1(self, capsys, tmp_path,
+                                                  monkeypatch):
+        def stuck(R, T, ambient, transcript):
+            transcript.append({"event": "alignment_failed", "prime": 3})
+            return None, None, None, None
+
+        monkeypatch.setattr(ci, "_descend", stuck)
+        p = write_group_file(tmp_path, "z12.json", GroupSpec.cyclic(12))
+        code, payload = run(capsys, "tower", p, p)
+        assert code == 1
+        assert payload == {
+            "status": "failure",
+            "transcript": [{"event": "alignment_failed", "prime": 3}]}
 
     def test_outside_family_is_usage_error(self, capsys, tmp_path):
         p = write_group_file(tmp_path, "z9.json", GroupSpec.cyclic(9))
