@@ -17,10 +17,10 @@ import random
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
                      block_restriction)
 from .ci import (TowerResult, are_conjugate_subgroups, block_tower_search,
-                 canonical_ratio_patterns, regular_subgroups)
+                 canonical_ratio_patterns, holomorph_witness,
+                 regular_subgroups)
 from .closures import brute_force_automorphisms, k_closure, orbit_coloring
 from .perm import PermGroup, Permutation, is_normal_in, sylow_subgroup
-from .ci import holomorph_witness
 from .zoo import (GroupSpec, cayley_table, cor2_groups,
                   frobenius_natural_action, group_in_family_R,
                   inner_holomorph, isomorphism_test, regular_representation,

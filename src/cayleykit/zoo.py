@@ -4,15 +4,17 @@ A GroupSpec is a symbolic description of an abstract group together with a
 canonical element labeling, so regular representations and holomorphs get
 reproducible point numbering.
 
-Eight kinds are metacyclic and share one product rule, fixed by a row
-(a, b, r, t).  The element (x, i), with x in Z_a and i in Z_b, has label
-x*b + i, and
+Every spec multiplies by one rule over a list of factor rows, each row a
+metacyclic (a, b, r, t) with a place value.  In a row, the element (x, i),
+with x in Z_a and i in Z_b, has digit x*b + i, and
 
     (x1, i1)(x2, i2) = (x1 + r^i1*x2 + t*[i1 + i2 >= b] mod a, i1 + i2 mod b).
 
-The generators are the labels b (if a > 1) and 1 (if b > 1).
+A label is the sum of its digits times their place values, and a product is
+taken digit by digit.  Each row gives the generators b (if a > 1) and 1 (if
+b > 1), times its place value.
 
-    kind                          (a, b, r, t)
+    kind                          rows (a, b, r, t)
     cyclic(n)                     (n, 1, 1, 0)
     z4, z8                        (4, 1, 1, 0), (8, 1, 1, 0)
     dihedral(m)                   (m, 2, -1, 0)
@@ -21,12 +23,14 @@ The generators are the labels b (if a > 1) and 1 (if b > 1).
     zn_semidirect_y(n, oy, act)   (n, oy, act, 0)
     frobenius(p, n)               (p, n, omega, 0)
     q8                            (4, 2, -1, 2)
+    elementary_abelian_2(e)       e rows (2, 1, 1, 0)
+    direct_product(factors)       the factors' rows, first factor most
+                                  significant
 
 omega is the smallest primitive n-th root of unity mod p.  For even m,
 dicyclic(m) is the generalized quaternion group <a, x | a^2m = 1,
 x^2 = a^m, x^-1 a x = a^-1> of order 4m, and dicyclic(2) is q8 label for
-label.  elementary_abelian_2(e) multiplies labels by xor; direct_product
-labels are mixed radix over the factors, the first factor most significant.
+label.
 """
 
 from __future__ import annotations
@@ -71,12 +75,21 @@ class GroupSpec:
         self.kind = kind
         self.params = params
         self._validate()
+        # Factor rows (place, a*b, a, b, [r^i mod a for i in Z_b], t): the
+        # digit of label g in a row is g // place % (a*b).
         if kind in _METACYCLIC:
             a, b, r, t = _METACYCLIC[kind](params)
             if r is None:
                 r = self.omega()
-            # (a, b, [r^i mod a for i in Z_b], t)
-            self._row = (a, b, [pow(r, i, a) for i in range(b)], t)
+            self._rows = [(1, a * b, a, b, [pow(r, i, a) for i in range(b)],
+                           t)]
+            return
+        factors = (params["factors"] if kind == "direct_product"
+                   else [GroupSpec.cyclic(2)] * params["e"])
+        self._rows, place = [], 1
+        for f in reversed(factors):
+            self._rows += [(place * q, *row) for q, *row in f._rows]
+            place *= f.size
 
     # -- constructors -----------------------------------------------------
 
@@ -192,20 +205,16 @@ class GroupSpec:
         return 0
 
     def mult(self, g, h):
-        k, p = self.kind, self.params
-        if k == "elementary_abelian_2":
-            return g ^ h
-        if k == "direct_product":
-            dg, dh = self._dp_digits(g), self._dp_digits(h)
-            return self._dp_label(
-                [f.mult(x, y) for f, x, y in zip(p["factors"], dg, dh)])
-        a, b, powers, t = self._row
-        x1, i1 = divmod(g, b)
-        x2, i2 = divmod(h, b)
-        i = i1 + i2
-        if i >= b:
-            return (x1 + powers[i1] * x2 + t) % a * b + i - b
-        return (x1 + powers[i1] * x2) % a * b + i
+        out = 0
+        for place, size, a, b, powers, t in self._rows:
+            x1, i1 = divmod(g // place % size, b)
+            x2, i2 = divmod(h // place % size, b)
+            i = i1 + i2
+            if i >= b:
+                out += ((x1 + powers[i1] * x2 + t) % a * b + i - b) * place
+            else:
+                out += ((x1 + powers[i1] * x2) % a * b + i) * place
+        return out
 
     def inv(self, a):
         e = self.identity_label()
@@ -223,21 +232,8 @@ class GroupSpec:
         return k
 
     def generator_labels(self):
-        k, p = self.kind, self.params
-        if k == "elementary_abelian_2":
-            return [1 << i for i in range(p["e"])]
-        if k == "direct_product":
-            gens = []
-            offset = 1
-            sizes = [f.size for f in p["factors"]]
-            for i in reversed(range(len(sizes))):
-                f = p["factors"][i]
-                for g in f.generator_labels():
-                    gens.append(g * offset)
-                offset *= sizes[i]
-            return sorted(gens)
-        a, b = self._row[:2]
-        return [b] * (a > 1) + [1] * (b > 1)
+        return sorted(place * g for place, _, a, b, _, _ in self._rows
+                      for g in [b] * (a > 1) + [1] * (b > 1))
 
     def omega(self):
         """Smallest primitive n-th root of unity mod p (frobenius only)."""
@@ -249,23 +245,6 @@ class GroupSpec:
                                           for d in range(1, n)):
                 return w
         raise AssertionError("no primitive root found")
-
-    # -- direct product arithmetic (mixed radix, first factor most
-    #    significant) -------------------------------------------------------
-
-    def _dp_digits(self, a):
-        sizes = [f.size for f in self.params["factors"]]
-        digits = []
-        for s in reversed(sizes):
-            digits.append(a % s)
-            a //= s
-        return list(reversed(digits))
-
-    def _dp_label(self, digits):
-        out = 0
-        for f, d in zip(self.params["factors"], digits):
-            out = out * f.size + d
-        return out
 
     def order_histogram(self):
         return Counter(self.element_order(a) for a in range(self.size))

@@ -15,11 +15,13 @@ import pytest
 
 from cayleykit.repro import run_claim
 
-# Report-body hashes of the default run of every claim except tower-dic3,
-# whose default seed is not recorded; the bench records them.
-EXPECTED_SHA256 = json.loads(
+# Report-body hashes recorded by the bench: the default run of every claim
+# except tower-dic3, whose default seed is not recorded, and tower-dic3 at
+# seeds 0-15.
+EXPECTED = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json")
-    .read_text())["claim_sha256"]
+    .read_text())
+EXPECTED_SHA256 = EXPECTED["claim_sha256"]
 
 CRITERIA = [
     ("01", "example-degree-20",
@@ -64,3 +66,12 @@ def test_acceptance(num, claim_id, summary):
     if claim_id in EXPECTED_SHA256:
         assert _body_sha256(body) == EXPECTED_SHA256[claim_id], \
             "report body differs from the recorded one"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tower_dic3_seeded(seed):
+    body = run_claim("tower-dic3", seed=seed)
+    _verdict("08", f"tower-dic3 --seed {seed}", body["pass"])
+    assert body["pass"]
+    assert _body_sha256(body) == EXPECTED["tower_dic3_sha256"][str(seed)], \
+        "report body differs from the recorded one"

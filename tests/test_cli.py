@@ -126,6 +126,17 @@ class TestConstruct:
                                     "zn_semidirect_y(0,2,1)")
         assert code == 2 and "odd" in payload["error"]
 
+    @pytest.mark.parametrize("spec, message", [
+        ("elementary_abelian_2(5000)", "exponent out of range"),
+        ('{"kind": "elementary_abelian_2", "e": -1}', "exponent out of range"),
+        ("zn_semidirect_y(3,3,2)", "order of y must be 2, 4 or 8"),
+        ("frobenius(9,2)", "p must be prime"),
+    ])
+    def test_refused_parameters_are_usage_errors(self, capsys, spec,
+                                                 message):
+        code, payload = usage_error(capsys, "construct", "--spec", spec)
+        assert code == 2 and payload == {"error": message}
+
     def test_over_deep_json_is_usage_error(self, capsys):
         spec = '{"kind": "direct_product", "factors": %s}' % DEEP
         code, payload = usage_error(capsys, "construct", "--spec", spec)
@@ -331,6 +342,23 @@ class TestTower:
         assert payload == {
             "status": "failure",
             "transcript": [{"event": "alignment_failed", "prime": 3}]}
+
+    def test_non_regular_group_is_usage_error(self, capsys, tmp_path):
+        z4 = write_group_file(tmp_path, "z4.json", GroupSpec.cyclic(4))
+        s4 = symmetric_file(tmp_path, 4)
+        for pair, name in (((s4, z4), "R"), ((z4, s4), "T")):
+            code, payload = usage_error(capsys, "tower", *pair)
+            assert code == 2
+            assert payload == {"error": f"{name} must be regular"}
+
+    def test_non_isomorphic_pair_is_usage_error(self, capsys, tmp_path):
+        # both are family members of order 4
+        z4 = write_group_file(tmp_path, "z4.json", GroupSpec.cyclic(4))
+        v4 = write_group_file(tmp_path, "v4.json",
+                              GroupSpec.elementary_abelian_2(2))
+        code, payload = usage_error(capsys, "tower", z4, v4)
+        assert code == 2
+        assert payload == {"error": "R and T must be isomorphic"}
 
     def test_outside_family_is_usage_error(self, capsys, tmp_path):
         p = write_group_file(tmp_path, "z9.json", GroupSpec.cyclic(9))

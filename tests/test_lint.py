@@ -1,10 +1,12 @@
 """Static checks on the package source, with the standard library's ast:
-no unused import, no private module-level function or class that
-nothing references, no public one that only tests and __init__ reach,
-and oracles that do not call the kernels they check."""
+no unused import, one import statement per imported module, no private
+module-level function or class that nothing references, no public one
+that only tests and __init__ reach, and oracles that do not call the
+kernels they check."""
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
@@ -45,6 +47,16 @@ def test_every_import_is_used(name):
                 imported[alias.asname or alias.name] = node
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(set(imported) - used) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_one_import_statement_per_source_module(name):
+    # `from .ci import a` and a later `from .ci import b` belong in one
+    # statement
+    sources = Counter((node.level, node.module)
+                      for node in ast.walk(parse(name))
+                      if isinstance(node, ast.ImportFrom))
+    assert sorted(s for s, count in sources.items() if count > 1) == []
 
 
 def test_every_private_definition_is_referenced():

@@ -97,6 +97,71 @@ class TestGroupAxioms:
                    for a in range(8) for b in range(8))
 
 
+def product_reference(factors):
+    """Order, product and generator labels of the direct product of
+    factors, labeled mixed radix with the first factor most significant,
+    taken factor by factor through each factor's own mult."""
+    sizes = [f.size for f in factors]
+
+    def digits(g):
+        out = []
+        for s in reversed(sizes):
+            g, d = divmod(g, s)
+            out.append(d)
+        return out[::-1]
+
+    def label(ds):
+        out = 0
+        for s, d in zip(sizes, ds):
+            out = out * s + d
+        return out
+
+    def mult(g, h):
+        return label([f.mult(x, y)
+                      for f, x, y in zip(factors, digits(g), digits(h))])
+
+    gens = {label([g if j == i else 0 for j in range(len(factors))])
+            for i, f in enumerate(factors) for g in f.generator_labels()}
+    return math.prod(sizes), mult, gens
+
+
+PRODUCT_FACTORS = [
+    [GroupSpec.frobenius(7, 3), GroupSpec.cyclic(2)],
+    [GroupSpec.cyclic(2), GroupSpec.frobenius(5, 4)],
+    [GroupSpec.zn_semidirect_y(3, 4, 2), GroupSpec.elementary_abelian_2(2)],
+    [GroupSpec.elementary_abelian_2(0), GroupSpec.q8()],
+    [GroupSpec.q8(), GroupSpec.elementary_abelian_2(0)],
+    [GroupSpec.dicyclic(3), GroupSpec.cyclic(3)],
+    [GroupSpec.cyclic(3), GroupSpec.dicyclic(4)],
+    [GroupSpec.direct_product([GroupSpec.cyclic(2), GroupSpec.dihedral(3)]),
+     GroupSpec.direct_product([GroupSpec.cyclic(2),
+                               GroupSpec.frobenius(5, 2)])],
+    [GroupSpec.cyclic(3), GroupSpec.direct_product(
+        [GroupSpec.elementary_abelian_2(2), GroupSpec.dicyclic(2)])],
+]
+
+
+@pytest.mark.parametrize("factors", PRODUCT_FACTORS,
+                         ids=lambda fs: "x".join(f"{f.kind}{f.size}"
+                                                 for f in fs))
+def test_direct_product_matches_the_factorwise_reference(factors):
+    spec = GroupSpec.direct_product(factors)
+    size, mult, gens = product_reference(factors)
+    assert spec.size == size
+    assert all(spec.mult(g, h) == mult(g, h)
+               for g in range(size) for h in range(size))
+    assert set(spec.generator_labels()) == gens
+
+
+@pytest.mark.parametrize("e", range(5))
+def test_elementary_abelian_2_multiplies_by_xor(e):
+    spec = GroupSpec.elementary_abelian_2(e)
+    assert spec.size == 2 ** e
+    assert all(spec.mult(g, h) == g ^ h
+               for g in range(2 ** e) for h in range(2 ** e))
+    assert spec.generator_labels() == [1 << i for i in range(e)]
+
+
 def spec_grid(max_order=64):
     """Every kind up to max_order (odd-m dicyclic only), plus C4 x D16."""
     G = GroupSpec
@@ -386,6 +451,16 @@ class TestCor2AndFrobenius:
     def test_cor2_rejects_small_n(self):
         with pytest.raises(ValueError):
             cor2_groups(5, 2, 0, 1)
+
+    @pytest.mark.parametrize("args, message", [
+        ((12, 4, 2, 1), "p must be prime"),
+        ((13, 5, 0, 1), "n must divide p-1"),
+        ((13, 6, 3, 1), "a must be even"),
+        ((13, 6, 2, 5), "a - b must be invertible"),
+    ])
+    def test_cor2_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            cor2_groups(*args)
 
     def test_frobenius_property(self):
         # nonidentity elements fix at most one point
