@@ -70,6 +70,14 @@ class ColoredStructure:
         return cls(data["degree"], data["arity"], data["colors"])
 
 
+def _canonical(degree, arity, colors):
+    """A ColoredStructure from a color tuple already numbered by first
+    occurrence, so renumbering it again is waste."""
+    S = object.__new__(ColoredStructure)
+    S.degree, S.arity, S.colors = degree, arity, colors
+    return S
+
+
 def check_budget(n, k):
     """Refuse an arity without a budget, or a degree over its budget."""
     if k not in DEGREE_BUDGET:
@@ -89,14 +97,21 @@ def _tuple_codes(digit, radix, k):
 
 
 def _orbit_labels(gens, n, k):
-    """A label below n^k for every k-tuple, in encoding order, such that
-    two tuples share a label iff they lie in one orbit of the group that
-    gens (image tuples) generate.
+    """A label for every k-tuple, in encoding order, such that two tuples
+    share a label iff they lie in one orbit of the group that gens (image
+    tuples) generate.  The labels are the canonical ones: contiguous from
+    0, numbered by first occurrence.
 
     For each orbit O with least point r, u_x in a transversal sends r to
     x, and (x, t) lies in the orbit of (r, u_x^-1 t).  So the tuples that
-    start in O take r * n^(k-1) plus the labels of the (k-1)-tuples under
-    the stabilizer of r, which Schreier's lemma generates by u_sx^-1 s u_x.
+    start in O take a running count plus the labels of the (k-1)-tuples
+    under the stabilizer of r, which Schreier's lemma generates by
+    u_sx^-1 s u_x; the count then grows by the number of those labels.
+    Orbits are met in order of least points, every label of row r is new
+    and, by induction, rises in order of first occurrence, and the rows of
+    the other points of O reuse row r's labels: so the labels come out
+    canonical with no renumbering pass.  At k = 1 a point's label is the
+    index of its orbit.
 
     The rows are filled along the breadth-first search of O: if y = s x,
     then (y, t) = s (x, s^-1 t), so row y is row x gathered through the
@@ -106,14 +121,16 @@ def _orbit_labels(gens, n, k):
     runs over a row or a permutation.
     """
     if not gens or n < 2:  # below two points every tuple is its own orbit
-        return list(range(n ** k))
+        return tuple(range(n ** k))
+    count = 0  # labels given so far
     if k == 1:
         rows = [None] * n
         for r in range(n):
             if rows[r] is None:
                 for x in orbit(r, gens, lambda x, s: s[x]):
-                    rows[x] = r
-        return rows
+                    rows[x] = count
+                count += 1
+        return tuple(rows)
     identity = tuple(range(n))
     inverses = [tuple(sorted(identity, key=s.__getitem__)) for s in gens]
     # as image tuples, by[j](t) is t gens[j] and by_inverse[j](t) is
@@ -141,21 +158,22 @@ def _orbit_labels(gens, n, k):
                     reach.append(y)
                 stab.add(via(by[j](inv[y])))
         stab.discard(identity)
-        offset = r * n ** (k - 1)
-        rows[r] = [offset + c for c in _orbit_labels(list(stab), n, k - 1)]
+        sub = _orbit_labels(list(stab), n, k - 1)
+        rows[r] = [count + c for c in sub]
+        count += max(sub) + 1
         for y in reach[1:]:
             x, j = parent[y]
             if gathers[j] is None:
                 gathers[j] = itemgetter(*_tuple_codes(inverses[j], n, k - 1))
             rows[y] = gathers[j](rows[x])
-    return list(itertools.chain.from_iterable(rows))
+    return tuple(itertools.chain.from_iterable(rows))
 
 
 def orbit_coloring(G, k):
     """Color two k-tuples alike iff they lie in one G-orbit."""
     n = G.degree
     check_budget(n, k)
-    return ColoredStructure(
+    return _canonical(
         n, k, _orbit_labels([g.images for g in G.generators], n, k))
 
 
@@ -178,8 +196,8 @@ def automorphisms(S):
     Strong generators are found base point by base point: for each level i
     and candidate image y, a depth-first completion search either produces
     an automorphism fixing 0..i-1 and sending i to y, or proves none exists.
-    Points are assigned in order 0, 1, ..., so a partial map f always
-    holds exactly 0..len(f)-1, in that order.
+    Points are assigned in order 0, 1, ..., so a partial map f is the list
+    f(0), ..., f(len(f)-1).
 
     An automorphism keeps the color of each diagonal tuple (x, ..., x);
     level 0 tries every point, and `consistent` drops those whose diagonal
@@ -194,13 +212,22 @@ def automorphisms(S):
     class.
 
     `consistent(partial, x, y)` compares every tuple over 0..x that holds
-    x with its image under f = partial + {x: y}.  The diagonal tuple comes
+    x with its image under f = partial + [y].  The diagonal tuple comes
     first; at x = 0 it is the only one.  The rest are taken by the position
     j of x: the tuples run along the last coordinate other than j, over
     0..x, for every choice of the k - 2 coordinates left over 0..x.  Since
     f holds 0..x in order, such a run is a slice of the table, of length
     x+1, and its image is one itemgetter pick at f(0), ..., f(x) from the
     image slice of length n: no per-tuple Python work.
+
+    When bucket(f(0)) holds one point per color, every later image is
+    forced, so `complete` builds the rest of f in one pass and checks all
+    of f once: row f(a) of the table, gathered through the
+    codes of f on (k-1)-tuples, must equal row a, for every a.  The step
+    checks together cover every tuple, so this accepts and rejects exactly
+    the maps the step-by-step search does, in the same order.  At k = 1 a
+    bucket with one point per color gives every point its own color, so no
+    level has a candidate and the forced path is never needed.
 
     Levels run from n-1 down to 0, so a generator found at level i fixes
     0..i-1 and moves i, and the orbit of i is complete when the search
@@ -231,13 +258,14 @@ def automorphisms(S):
         return buckets[b]
 
     def consistent(partial, x, y):
+        # partial is any sequence f(0), ..., f(x-1)
         # the diagonal first: at x = 0 it is the only tuple, and an
         # itemgetter of one index would return no tuple
         if colors[x * diagonal] != colors[y * diagonal]:
             return False
         if not x:
             return True
-        ys = (*partial.values(), y)
+        ys = (*partial, y)
         pick = itemgetter(*ys)
         for own, step, rest in shapes:
             # the starts of the lines over 0..x, and of their images
@@ -251,20 +279,38 @@ def automorphisms(S):
                     return False
         return True
 
+    def keeps_colors(f):
+        """True iff the map f (a list of images), at k >= 2, keeps every
+        tuple's color; stops at the first row that differs."""
+        pick = itemgetter(*_tuple_codes(f, n, k - 1))
+        return all(colors[a * lead:a * lead + lead]
+                   == pick(colors[b * lead:b * lead + lead])
+                   for a, b in enumerate(f))
+
     def complete(partial, used):
         """Extend a consistent partial map over all points; None if stuck."""
         x = len(partial)
         if x == n:
-            return Permutation(partial.values())
-        for y in bucket(partial[0]).get(colors[x * lead], ()):
+            return Permutation(partial)
+        by_color = bucket(partial[0])
+        if k > 1 and len(by_color) == n:  # one point per color: all forced
+            f = list(partial)
+            for c in colors[x * lead::lead]:
+                if c not in by_color:
+                    return None
+                f += by_color[c]
+            # f is one-to-one if it keeps colors: the tuples (y, f(0), ...,
+            # f(0)) have n colors, and so then do (f(y), f(f(0)), ...)
+            return Permutation(f) if keeps_colors(f) else None
+        for y in by_color.get(colors[x * lead], ()):
             if y in used or not consistent(partial, x, y):
                 continue
-            partial[x] = y
+            partial.append(y)
             used.add(y)
             result = complete(partial, used)
             if result is not None:
                 return result
-            del partial[x]
+            partial.pop()
             used.remove(y)
         return None
 
@@ -276,13 +322,11 @@ def automorphisms(S):
 
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
-        fixed = dict(zip(range(i), range(i)))
         for y in bucket(0)[colors[i * lead]] if i else range(n):
-            if y in orb or y <= i or not consistent(fixed, i, y):
+            if y in orb or y <= i or not consistent(range(i), i, y):
                 continue
-            partial = dict(fixed)
-            partial[i] = y
-            g = complete(partial, set(partial.values()))
+            partial = [*range(i), y]
+            g = complete(partial, set(partial))
             if g is not None:
                 gens.append(g)
                 orb = point_orbit(i)

@@ -157,6 +157,9 @@ def test_orbit_coloring_matches_reference(group, transitive, k):
     S = orbit_coloring(PermGroup(n, gens), k)
     assert S.colors == reference_orbit_coloring(n, k,
                                                 [g.images for g in gens])
+    # canonical as built: renumbering changes nothing
+    assert ColoredStructure(n, k, S.colors) == S
+    assert set(S.colors) == set(range(max(S.colors, default=-1) + 1))
 
 
 @st.composite
@@ -392,6 +395,48 @@ def test_level_scans_take_candidates_from_buckets(monkeypatch):
     monkeypatch.setattr(CountingColors, "lookups", 0)
     assert automorphisms(S).order == 252
     assert CountingColors.lookups < 5_000
+
+
+def test_forced_completions_check_each_map_once(monkeypatch):
+    # on regular Z64 at k = 3 bucket(f(0)) holds one point per color, so
+    # every completion is forced: one code table and about 2n row slices
+    # per map checked.  The search takes 196 lookups in all; checked step
+    # by step, the same completion cost 12,730
+    S = orbit_coloring(regular(GroupSpec.cyclic(64)), 3)
+    S.colors = CountingColors(S.colors)
+    calls = []
+
+    def counting(digit, radix, k):
+        calls.append(k)
+        return _tuple_codes(digit, radix, k)
+
+    monkeypatch.setattr(closures, "_tuple_codes", counting)
+    monkeypatch.setattr(CountingColors, "lookups", 0)
+    A = automorphisms(S)
+    assert A.order == 64
+    assert 1 <= len(calls) <= len(A.generators)
+    assert CountingColors.lookups <= 4 * S.degree * len(calls)
+
+
+@pytest.mark.parametrize("spec,k", [
+    (GroupSpec.cyclic(7), 2), (GroupSpec.cyclic(7), 3),
+    (GroupSpec.dihedral(3), 2), (GroupSpec.dihedral(3), 3)],
+    ids=lambda v: str(v))
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_forced_completions_reject_a_fresh_color(spec, k, row):
+    # a fresh color in row 0 fails every forced map at its first row; one
+    # in the last row lets most of them pass their first rows.  Neither
+    # tuple is one of the (x, 0, ..., 0) that the forced images are read
+    # from, so only the row check can reject the map.  The search must
+    # still agree with the step-by-step reference and with brute force
+    S = orbit_coloring(regular(spec), k)
+    t = (0 if row == "first" else S.degree - 1, 1, 2)[:k]
+    colors = list(S.colors)
+    colors[S.encode(t)] = max(colors) + 1
+    T = ColoredStructure(S.degree, k, colors)
+    assert found_generators(automorphisms, T) \
+        == found_generators(reference_automorphisms, T)
+    assert automorphisms(T).order == brute_force_automorphisms(T).order
 
 
 class TestAutomorphisms:

@@ -114,6 +114,6 @@ def test_closure_oracles_do_not_use_the_kernels():
     inner = {node.name for node in ast.walk(defs["automorphisms"])
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     kernels = {"_orbit_labels", "_tuple_codes"} | inner - {"automorphisms"}
-    assert {"consistent", "complete"} <= kernels
+    assert {"consistent", "complete", "keeps_colors"} <= kernels
     for oracle in ("is_automorphism", "brute_force_automorphisms"):
         assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
