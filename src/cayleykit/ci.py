@@ -11,28 +11,27 @@ witness pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional
 
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
                      classify_block_system, pullback_system, verify_tower)
 from .closures import check_budget, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
-                   PermGroup, Permutation, _is_power_of, _is_prime, orbit,
-                   prime_factors, sylow_subgroup)
+                   PermGroup, Permutation, _Chain, _is_power_of, _is_prime,
+                   orbit, prime_factors, sylow_subgroup)
 from .zoo import (cayley_table, group_in_family_R, inner_holomorph,
                   isomorphic_groups, isomorphism_test, regular_representation)
 
 
-@dataclass
 class CiVerdict:
-    """Outcome of the regular-subgroup conjugacy test on one ambient group."""
+    """Outcome of the regular-subgroup conjugacy test on one ambient group:
+    status is ci_for_this_structure, not_ci_witness or no_regular_copy."""
 
-    status: str  # ci_for_this_structure | not_ci_witness | no_regular_copy
-    witness: Optional[tuple] = None  # pair of nonconjugate regular subgroups
-    classes: int = 0
-    transcript: list = field(default_factory=list)
+    def __init__(self, status, witness=None, classes=0, transcript=None):
+        self.status = status
+        self.witness = witness  # pair of nonconjugate regular subgroups
+        self.classes = classes
+        self.transcript = [] if transcript is None else transcript
 
     def to_json(self):
         wit = None
@@ -44,15 +43,16 @@ class CiVerdict:
                 "classes": self.classes, "transcript": self.transcript}
 
 
-@dataclass
 class TowerResult:
     """A conjugator plus the chain of normal block systems it produces."""
 
-    conjugator: Permutation
-    tower: list  # B_0 (singletons) up to B_m (one block), inclusive
-    ratios: list  # consecutive block-size ratios, length m
-    exceptional_case: Optional[str] = None
-    transcript: list = field(default_factory=list)
+    def __init__(self, conjugator, tower, ratios, exceptional_case=None,
+                 transcript=None):
+        self.conjugator = conjugator
+        self.tower = tower  # B_0 (singletons) up to B_m (one block), inclusive
+        self.ratios = ratios  # consecutive block-size ratios, length m
+        self.exceptional_case = exceptional_case
+        self.transcript = [] if transcript is None else transcript
 
     def to_json(self):
         return {"conjugator": self.conjugator.to_json(),
@@ -165,30 +165,52 @@ def regular_subgroups(A, spec):
     for the least point y not yet reached, each candidate with g(0) = y
     by increasing image tuple, and adds it to the chosen generators.  Two
     leaves first differ at such a y, every h_x with x < y shared, so the
-    leaves come in increasing key order.  A subgroup is the closure of
-    its generators under right multiplication, so the closure grows
-    incrementally: every old element times the new generator, then every
-    new element times every generator, until nothing new appears.  Two
-    elements with one image of 0, a product that is no candidate, or more
-    elements of some order than the group has, end the branch.  Only a
-    complete assignment outside the conjugacy classes already decided
-    goes to the isomorphism test, on its product table; its class is then
-    decided, and only an accepted one gets a stabilizer chain, built on
-    the known base [0] without Schreier-Sims.
+    leaves come in increasing key order.  The elements with g(0) = y form
+    the coset u_y A_0 of the stabilizer A_0 of 0; it is listed from a
+    chain with base point 0 when the search first reaches y, so A itself
+    is never listed.
+    A subgroup is the closure of its generators under right
+    multiplication, so the closure grows incrementally: every old element
+    times the new generator, then every new element times every
+    generator, until nothing new appears.  Such a product lies in A, and
+    its cycles are measured the first time it appears.  Two elements with
+    one image of 0, a product that is no candidate, or more elements of
+    some order than the group has, end the branch.  Only a complete
+    assignment outside the conjugacy classes already decided goes to the
+    isomorphism test, on its product table; its class is then decided,
+    and only an accepted one gets a stabilizer chain, built on the known
+    base [0] without Schreier-Sims.
     """
     n = A.degree
     if n != spec.size:
         raise ValueError("degree of A must equal the order of the spec")
+    if A.order > BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"group order {A.order} exceeds cap {BRUTE_FORCE_CAP}")
     hist = spec.order_histogram()
-    orders = {}  # candidate images -> order
-    by_image = {y: [] for y in range(n)}
-    for g in A.elements():
-        o = _semiregular_order(g.images)
-        if hist.get(o, 0) > 0:
-            orders[g.images] = o
-            by_image[g.images[0]].append(g)
-    for candidates in by_image.values():
-        candidates.sort()
+    chain = A._chain
+    if chain.base[:1] != [0]:  # the cosets of A_0 need 0 first in the base
+        chain = _Chain.schreier_sims(n, A.generators, base_hint=(0,))
+    level0, stabilizer = chain.transversals[0], chain.elements(1)
+    orders = {}  # images of an element of A -> its order, 0 if no candidate
+
+    def candidate_order(images):
+        o = orders.get(images)
+        if o is None:
+            o = _semiregular_order(images)
+            o = orders[images] = o if hist.get(o, 0) > 0 else 0
+        return o
+
+    by_image = {}  # y -> the candidates g with g(0) = y, sorted
+
+    def candidates(y):
+        if y not in by_image:
+            u = level0.get(y)  # None when y is outside the orbit of 0
+            coset = () if u is None else (u * h for h in stabilizer)
+            by_image[y] = sorted(g for g in coset
+                                 if candidate_order(g.images))
+        return by_image[y]
+
     conj_gens = [(g, g.inverse()) for g in A.generators]
     is_spec = isomorphism_test(cayley_table(
         regular_representation(spec, "left").group))
@@ -210,8 +232,8 @@ def regular_subgroups(A, spec):
             w = p.images[0]
             cur = assigned.get(w)
             if cur is None:
-                o = orders.get(p.images)
-                if o is None:
+                o = candidate_order(p.images)
+                if not o:
                     return None
                 c = counts.get(o, 0) + 1
                 if c > hist.get(o, 0):
@@ -234,9 +256,9 @@ def regular_subgroups(A, spec):
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 
     # An explicit stack, not a recursive closure: a closure that calls
-    # itself is a reference cycle, and it would keep every element of A
-    # alive until the next full garbage collection.  Branches are pushed
-    # in reverse, so they are taken in by_image order.
+    # itself is a reference cycle, and it would keep every element the
+    # search met alive until the next full garbage collection.  Branches are pushed
+    # in reverse, so they are taken in candidates order.
     stack = [({0: Permutation.identity(n)}, {1: 1}, ())]
     while stack:
         assigned, counts, gens = stack.pop()
@@ -244,7 +266,7 @@ def regular_subgroups(A, spec):
             leaf(assigned)
             continue
         y = min(x for x in range(n) if x not in assigned)
-        grown = [extend(assigned, counts, gens, g) for g in by_image[y]]
+        grown = [extend(assigned, counts, gens, g) for g in candidates(y)]
         stack.extend(s for s in reversed(grown) if s is not None)
     return reps
 

@@ -6,6 +6,7 @@ and conjugation is ``h^c = c^-1 h c``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 
@@ -286,11 +287,12 @@ class _Chain:
         residue, _ = self.strip(p)
         return residue.is_identity()
 
-    def elements(self):
-        """All elements, level 0 most significant and each level's points
-        sorted; built from the last level up, one product per element."""
+    def elements(self, start=0):
+        """All elements of the stabilizer of base[:start], level start most
+        significant and each level's points sorted; built from the last
+        level up, one product per element."""
         out = [self.identity]
-        for t in reversed(self.transversals):
+        for t in reversed(self.transversals[start:]):
             out = [t[x] * r for x in sorted(t) for r in out]
         return out
 
@@ -307,8 +309,8 @@ class _Chain:
 
 
 class PermGroup:
-    """A permutation group given by generators; its chain is built at
-    construction by Schreier-Sims, or, when a base is given, from the
+    """A permutation group given by generators.  Its chain is built when
+    first read, by Schreier-Sims, or, when a base is given, from the
     orbits alone: the generators are trusted as a strong set for it."""
 
     def __init__(self, degree, generators, base=None):
@@ -322,11 +324,17 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(sorted(gens))
-        if base is None:
-            self._chain = _Chain.schreier_sims(degree, self.generators)
-        else:
-            self._chain = _Chain(degree, base, self.generators)
-        self.order = self._chain.order
+        self._base = None if base is None else tuple(base)
+
+    @cached_property
+    def _chain(self):
+        if self._base is None:
+            return _Chain.schreier_sims(self.degree, self.generators)
+        return _Chain(self.degree, self._base, self.generators)
+
+    @cached_property
+    def order(self):
+        return self._chain.order
 
     @classmethod
     def trivial(cls, degree):

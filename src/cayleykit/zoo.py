@@ -49,7 +49,9 @@ SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "z4": (),
                "zn_semidirect_y": ("n", "order_of_y", "action"),
                "frobenius": ("p", "n")}
 
-# The largest spec order; regular representations are built eagerly.
+# The largest spec order: the first read of the order of a regular
+# representation or holomorph builds its stabilizer chain, which takes
+# seconds at this order (see the README's caps section).
 MAX_SPEC_ORDER = 2048
 
 # The row (a, b, r, t) of each metacyclic kind, from its parameters; see the

@@ -173,6 +173,15 @@ def test_semiregular_order_matches_cycle_lengths(g):
     assert _semiregular_order(g.images) == want
 
 
+def unlisted(monkeypatch, A):
+    """A, with its elements() made to fail."""
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the ambient group was listed")
+
+    monkeypatch.setattr(A, "elements", no_listing)
+    return A
+
+
 class TestRegularSubgroups:
     def test_self_class(self):
         R = regular(GroupSpec.cyclic(6))
@@ -246,6 +255,52 @@ class TestRegularSubgroups:
         monkeypatch.setattr(perm._Chain, "schreier_sims", counted)
         assert len(regular_subgroups(A, spec)) == 15
         assert len(builds) == 1
+
+    def test_pinned_rows_do_not_list_the_ambient(self, monkeypatch):
+        # candidates come from the cosets of A_0 the search visits; the
+        # digests are those of the two pins above
+        def gens(A, spec):
+            return [[g.to_json() for g in H.generators]
+                    for H in regular_subgroups(unlisted(monkeypatch, A), spec)]
+
+        def digest(value):
+            return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+        assert digest(gens(*c2_x_d4_row())) == (
+            "10b8eb811f42acf321c60ec37314aa63"
+            "f016143b1c11f5f1fca1a59a09d8d4ca")
+        assert digest([gens(*frobenius_row(p, n))
+                       for p, n in ((13, 4), (7, 3), (5, 4))]) == (
+            "c538ae2beff100e26858b8312c6965e7"
+            "f04d2e9150c0052365743babf88bab00")
+
+    @pytest.mark.parametrize("A", [
+        PermGroup(4, [Permutation([1, 0, 3, 2])]),
+        PermGroup(4, [Permutation([1, 0, 2, 3]), Permutation([0, 1, 3, 2])]),
+        PermGroup.trivial(4)], ids=["semiregular", "two-orbits", "trivial"])
+    def test_intransitive_ambient_has_no_regular_subgroup(self, monkeypatch,
+                                                          A):
+        # a point outside the orbit of 0 has no candidates
+        unlisted(monkeypatch, A)
+        assert regular_subgroups(A, GroupSpec.elementary_abelian_2(2)) == []
+        assert regular_subgroups(A, GroupSpec.cyclic(4)) == []
+
+    def test_ambient_over_the_cap_is_refused(self, monkeypatch):
+        A = unlisted(monkeypatch, PermGroup.symmetric(10))
+        assert A.order > BRUTE_FORCE_CAP
+        with pytest.raises(CapExceededError):
+            regular_subgroups(A, GroupSpec.cyclic(10))
+
+    def test_base_not_starting_at_zero(self, monkeypatch):
+        # the first generator fixes 0, so A's own chain starts elsewhere
+        # and the search builds one with 0 first
+        A = unlisted(monkeypatch, PermGroup(4, [Permutation([0, 1, 3, 2]),
+                                                Permutation([1, 2, 3, 0])]))
+        assert A._chain.base[0] != 0
+        for spec in (GroupSpec.cyclic(4), GroupSpec.elementary_abelian_2(2)):
+            assert [H.generators for H in regular_subgroups(A, spec)] \
+                == [H.generators for H in regular_subgroups(
+                    PermGroup.symmetric(4), spec)]
 
     @pytest.mark.parametrize("name", ["s4", "a4", "example-degree-20"])
     def test_representative_chains_match_schreier_sims(self, name):

@@ -1,5 +1,6 @@
 """Static checks on the package source, with the standard library's ast:
-no unused import, one import statement per imported module, no private
+no unused import, one import statement per imported module, imports
+from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 that only tests and __init__ reach, and oracles that do not call the
 kernels they check."""
@@ -57,6 +58,24 @@ def test_one_import_statement_per_source_module(name):
                       for node in ast.walk(parse(name))
                       if isinstance(node, ast.ImportFrom))
     assert sorted(s for s, count in sources.items() if count > 1) == []
+
+
+# Every module outside the package that src may import: the package uses
+# the standard library only, and these load quickly
+ALLOWED_IMPORTS = {"__future__", "argparse", "collections", "functools",
+                   "itertools", "json", "math", "operator", "random", "re",
+                   "sys", "time"}
+
+
+def test_imports_come_from_the_allowed_stdlib_modules():
+    imported = set()
+    for name in MODULES:
+        for node in ast.walk(parse(name)):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - ALLOWED_IMPORTS) == []
 
 
 def test_every_private_definition_is_referenced():

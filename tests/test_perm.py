@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cayleykit
 from cayleykit.cli import build_parser
-from cayleykit.closures import k_closure
+from cayleykit.closures import k_closure, orbit_coloring
 from cayleykit.perm import (CapExceededError, PermGroup, Permutation, _Chain,
                             _is_power_of, is_normal_in, normalizer, orbit,
                             prime_factors, sylow_subgroup)
-from cayleykit.zoo import GroupSpec, inner_holomorph
+from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
 
 M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
                    "fixtures", "m12.json")
@@ -442,5 +442,36 @@ def test_no_schreier_generator_is_sifted_twice(monkeypatch, build):
         return strip(self, g, start)
 
     monkeypatch.setattr(_Chain, "strip", recorded)
-    build()
+    build().order  # construction builds no chain; the first read does
     assert sifts and len(set(sifts)) == len(sifts)
+
+
+def test_construction_and_orbit_work_build_no_chain(monkeypatch):
+    # only order, contains and the element listings read the chain
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a stabilizer chain was built")
+
+    monkeypatch.setattr(_Chain, "schreier_sims", no_chain)
+    spec = GroupSpec.frobenius(7, 3)
+    c = Permutation([(2 * x + 1) % 21 for x in range(21)])
+    G = PermGroup(21, [Permutation([(x + 1) % 21 for x in range(21)])])
+    for H in (G, inner_holomorph(spec),
+              regular_representation(spec, "left").group, G.conjugate(c)):
+        assert len(H.orbits()) == 1 and H.is_transitive()
+        assert len(set(orbit_coloring(H, 2).colors)) > 1
+
+
+def test_first_order_read_builds_one_chain(monkeypatch):
+    builds = []
+    build = _Chain.schreier_sims
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(_Chain, "schreier_sims", counted)
+    G = inner_holomorph(GroupSpec.frobenius(7, 3))
+    assert builds == []
+    assert G.order == 441 and len(builds) == 1
+    assert G.order == 441 and G.contains(G.generators[0])
+    assert len(G.elements()) == 441 and len(builds) == 1
