@@ -11,6 +11,7 @@ witness pair.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from operator import itemgetter
 
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
@@ -18,9 +19,10 @@ from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
 from .closures import check_budget, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _Chain, _is_power_of, _is_prime,
-                   orbit, prime_factors, sylow_subgroup)
-from .zoo import (cayley_table, group_in_family_R, inner_holomorph,
-                  isomorphic_groups, isomorphism_test, regular_representation)
+                   _unchecked, orbit, prime_factors, sylow_subgroup)
+from .zoo import (_by_order, _table_profile, cayley_table, group_in_family_R,
+                  inner_holomorph, isomorphic_groups, isomorphism_test,
+                  regular_representation)
 
 
 class CiVerdict:
@@ -62,68 +64,143 @@ class TowerResult:
                 "transcript": self.transcript}
 
 
+def _pack(n):
+    """The compact form of an image tuple of degree n: bytes up to 256
+    points, the tuple itself above."""
+    return bytes if n <= 256 else tuple
+
+
 def _element_keys(H):
-    return frozenset(g.images for g in H.elements())
+    return frozenset(map(_pack(H.degree), (g.images for g in H.elements())))
 
 
-def _conjugate_key(key, pair):
-    """The element keys of c^-1 H c, for H given by its element keys;
-    c is not the identity, so its degree is at least 2."""
-    at_c, cinv = itemgetter(*pair[0].images), pair[1].images
+def _conjugation(c):
+    """h -> c^-1 h c on image rows packed by _pack; c is not the identity,
+    so its degree is at least 2."""
+    n = c.degree
     # (c^-1 h c)(x) = c^-1(h(c(x))): gather h at c, then c^-1 at that
-    return frozenset(itemgetter(*at_c(h))(cinv) for h in key)
+    at_c, cinv = itemgetter(*c.images), c.inverse().images
+    if n > 256:
+        return lambda h: itemgetter(*at_c(h))(cinv)
+    table = bytes(cinv) + bytes(range(n, 256))
+    return lambda h: bytes(at_c(h)).translate(table)
 
 
-def _breadth_first(start, gens, act, identity):
+def _conjugate_key(key, conjugation):
+    return frozenset(map(conjugation, key))
+
+
+def _breadth_first(start, moves, act, identity):
     """Each state reachable from start, in breadth-first discovery order,
-    with a word w in gens reaching it: act(state, (g, g^-1)) is reached by
-    w * g.  More than BRUTE_FORCE_CAP states raise CapExceededError."""
-    pairs = [(g, g.inverse()) for g in gens]
+    with a word w in the generators reaching it: for each pair (g, move)
+    in moves, act(state, move) is reached by w * g.  More than
+    BRUTE_FORCE_CAP states raise CapExceededError."""
     yield start, identity
     seen = {start}
     queue = [(start, identity)]
     for state, w in queue:
-        for pair in pairs:
-            image = act(state, pair)
+        for g, move in moves:
+            image = act(state, move)
             if image in seen:
                 continue
             seen.add(image)
             if len(seen) > BRUTE_FORCE_CAP:
                 raise CapExceededError("orbit exceeds the cap")
-            wg = w * pair[0]
+            wg = w * g
             yield image, wg
             queue.append((image, wg))
 
 
-def are_conjugate_subgroups(A, R, T, transcript=None):
-    """Some c in A with R^c = T, or None after exhausting R's class.
+def _class_walk(A, R, T):
+    """For each member R^c of R's class, in breadth-first order under A's
+    generators: c's images, and c when R^c = T, else None."""
+    Tkeys = _element_keys(T)
+    moves = [(g, _conjugation(g)) for g in A.generators]
+    return ((c.images, c if key == Tkeys else None)
+            for key, c in _breadth_first(_element_keys(R), moves,
+                                         _conjugate_key,
+                                         Permutation.identity(A.degree)))
 
-    A breadth-first search over the conjugates of R under A's generators,
-    keyed by element sets.  The class has one member per right coset of
-    the normalizer of R in A.  A transcript, if given, logs the first
-    TRANSCRIPT_CAP members that are not T and then one {"dropped": k}
-    entry for the k left out.
+
+def _base_image_search(A, R, T):
+    """The candidate count for regular R and T, and for each candidate its
+    images and the c in A it gives with R^c = T, or None.
+
+    If R^c = T, some c fixes 0, and m = c^-1 is the point map
+    r(0) -> phi(r)(0) of the isomorphism phi(r) = c^-1 r c.  A candidate
+    phi sends R's greedy generators to same-order elements of T, by
+    their labels in the product tables.  Its base images under A's chain
+    are phi of one word per base point; the one m in A with them is
+    accepted when m g m^-1 = phi(g) for each generator g.
+    """
+    ta, tb = cayley_table(R), cayley_table(T)
+    orders, gens, span, _ = _table_profile(ta)
+    by_order = _by_order(_table_profile(tb)[0])
+    choices = [by_order.get(orders[g], []) for g in gens]
+    words = {0: ()}
+    for x in span:  # breadth-first, so x has its word already
+        for i, g in enumerate(gens):
+            words.setdefault(ta[x][g], words[x] + (i,))
+    chain = A._chain
+    base_words = [words[b] for b in chain.base]
+    at_gens = [itemgetter(*ta[g]) for g in gens]
+
+    def conjugator(images):
+        base_images = []
+        for word in base_words:
+            y = 0
+            for i in word:
+                y = tb[y][images[i]]
+            base_images.append(y)
+        m = chain.element_with_base_images(base_images)
+        if m is None:
+            return None
+        # m g m^-1 = phi(g) <=> m * g = phi(g) * m, as gathers
+        after = itemgetter(*m.images)
+        if all(at(m.images) == after(tb[h]) for at, h in zip(at_gens, images)):
+            return m.inverse()
+        return None
+
+    return prod(map(len, choices)), (
+        (images, conjugator(images)) for images in itertools.product(*choices))
+
+
+def are_conjugate_subgroups(A, R, T, transcript=None):
+    """Some c in A with R^c = T, or None after an exhaustive search.
+
+    For regular R and T, each isomorphism candidate is tried by its base
+    images (see _base_image_search) when there are at most |A| of them;
+    otherwise a breadth-first search walks R's class under A's
+    generators, keyed by element sets, one member per right coset of the
+    normalizer of R in A.  The smaller of those bounds must be within
+    BRUTE_FORCE_CAP.  A transcript, if given, logs the first
+    TRANSCRIPT_CAP tries that fail and then one {"dropped": k} entry for
+    the k left out.
     """
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_subgroup_of(A):
             raise ValueError(f"{name} is not a subgroup of the ambient group")
+    # first: a regular group then gets its chain without Schreier-Sims
+    regular = R.is_regular() and T.is_regular()
     if R.order != T.order:
         return None
-    Rkeys = _element_keys(R)
-    Tkeys = _element_keys(T)
-    if Rkeys == Tkeys:
+    if R == T:
         return Permutation.identity(A.degree)
-    if A.order > BRUTE_FORCE_CAP:  # the work is |R| * |class| <= |A|
-        raise CapExceededError("ambient group exceeds the cap")
+    count, attempts = _base_image_search(A, R, T) if regular else (None, None)
+    if count is None or count > A.order:
+        if A.order > BRUTE_FORCE_CAP:  # the class walk's work is <= |A|
+            raise CapExceededError("ambient group exceeds the cap")
+        attempts = _class_walk(A, R, T)
+    elif count > BRUTE_FORCE_CAP:
+        raise CapExceededError("candidate count exceeds the cap")
     found = None
     tried = 0
-    for key, c in _breadth_first(Rkeys, A.generators, _conjugate_key,
-                                 Permutation.identity(A.degree)):
-        if key == Tkeys:
+    for images, c in attempts:
+        if c is not None:
             found = c
             break
         if transcript is not None and tried < TRANSCRIPT_CAP:
-            transcript.append({"tried": list(c.images), "result": "no"})
+            transcript.append({"tried": list(images), "result": "no"})
         tried += 1
     if transcript is not None and tried > TRANSCRIPT_CAP:
         transcript.append({"dropped": tried - TRANSCRIPT_CAP})
@@ -178,8 +255,10 @@ def regular_subgroups(A, spec):
     some order than the group has, end the branch.  Only a complete
     assignment outside the conjugacy classes already decided goes to the
     isomorphism test, on its product table; its class is then decided,
-    and only an accepted one gets a stabilizer chain, built on the known
-    base [0] without Schreier-Sims.
+    each member kept as a set of rows packed by _pack, and only an
+    accepted one becomes a PermGroup, with a stabilizer chain built on
+    the known base [0] without Schreier-Sims.  Until then elements are
+    image tuples and products are gathers.
     """
     n = A.degree
     if n != spec.size:
@@ -201,38 +280,42 @@ def regular_subgroups(A, spec):
             o = orders[images] = o if hist.get(o, 0) > 0 else 0
         return o
 
+    # h -> u * h for each h in A_0, on image tuples: u gathered at h
+    at_stabilizer = [itemgetter(*h.images) for h in stabilizer]
     by_image = {}  # y -> the candidates g with g(0) = y, sorted
 
     def candidates(y):
         if y not in by_image:
             u = level0.get(y)  # None when y is outside the orbit of 0
-            coset = () if u is None else (u * h for h in stabilizer)
-            by_image[y] = sorted(g for g in coset
-                                 if candidate_order(g.images))
+            coset = () if u is None else (at(u.images) for at in at_stabilizer)
+            by_image[y] = sorted(g for g in coset if candidate_order(g))
         return by_image[y]
 
-    conj_gens = [(g, g.inverse()) for g in A.generators]
+    conj_gens = [_conjugation(g) for g in A.generators]
+    pack = _pack(n)
     is_spec = isomorphism_test(cayley_table(
         regular_representation(spec, "left").group))
     reps = []
     seen_conjugates = set()
 
     def extend(assigned, counts, gens, g):
-        """The closure of assigned (closed under gens) with g added, and
-        its order counts; None on a regularity or histogram conflict."""
+        """The closure of assigned (closed under gens, each a gather that
+        multiplies on the right) with g added, and its order counts; None
+        on a regularity or histogram conflict."""
         old = list(assigned.values())
         assigned = dict(assigned)
         counts = dict(counts)
-        gens = gens + (g,)
+        at_g = itemgetter(*g)
+        gens = gens + (at_g,)
         new = []
         # the second part reads new while the loop below appends to it
-        products = itertools.chain((h * g for h in old),
-                                   (x * s for x in new for s in gens))
+        products = itertools.chain(map(at_g, old),
+                                   (s(x) for x in new for s in gens))
         for p in products:
-            w = p.images[0]
+            w = p[0]
             cur = assigned.get(w)
             if cur is None:
-                o = candidate_order(p.images)
+                o = candidate_order(p)
                 if not o:
                     return None
                 c = counts.get(o, 0) + 1
@@ -241,17 +324,18 @@ def regular_subgroups(A, spec):
                 counts[o] = c
                 assigned[w] = p
                 new.append(p)
-            elif cur.images != p.images:
+            elif cur != p:
                 return None
         return assigned, counts, gens
 
     def leaf(assigned):
-        key = frozenset(g.images for g in assigned.values())
+        key = frozenset(map(pack, assigned.values()))
         if key in seen_conjugates:
             return
-        if is_spec([assigned[y].images for y in range(n)]):
+        if is_spec([assigned[y] for y in range(n)]):
             # base [0]: the elements are a strong set, assigned its transversal
-            reps.append(PermGroup(n, assigned.values(), base=[0]))
+            reps.append(PermGroup(n, map(_unchecked, assigned.values()),
+                                  base=[0]))
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
 
@@ -259,7 +343,7 @@ def regular_subgroups(A, spec):
     # itself is a reference cycle, and it would keep every element the
     # search met alive until the next full garbage collection.  Branches are pushed
     # in reverse, so they are taken in candidates order.
-    stack = [({0: Permutation.identity(n)}, {1: 1}, ())]
+    stack = [({0: tuple(range(n))}, {1: 1}, ())]
     while stack:
         assigned, counts, gens = stack.pop()
         if len(assigned) == n:
@@ -310,16 +394,28 @@ def _orbit_partition(H):
     return BlockSystem(H.degree, H.orbits())
 
 
+def _moved_labels(labels, at_g):
+    """The block labels of the points after g^-1 moves a partition: the
+    labels gathered at g's images, renumbered by first occurrence."""
+    moved = at_g(labels)
+    first = {b: i for i, b in enumerate(dict.fromkeys(moved))}
+    return tuple(map(first.__getitem__, moved))
+
+
 def partition_transporter(ambient, source, target):
     """Some w in ambient with w^-1(source) = target, or None.
 
     Breadth-first search over the orbit of the source partition; states
-    are partitions, edges are generators, and exhausting the orbit
-    certifies that no transporter exists.
+    are the points' block indices, blocks numbered by least point, edges
+    are generators, and exhausting the orbit certifies that no
+    transporter exists.  Generators are not the identity, so their
+    degree is at least 2 and a gather at their images is a tuple.
     """
-    return next((w for part, w in _breadth_first(
-        source, ambient.generators, lambda part, pair: part.apply(pair[1]),
-        Permutation.identity(ambient.degree)) if part == target), None)
+    want = tuple(target.block_index_of())
+    moves = [(g, itemgetter(*g.images)) for g in ambient.generators]
+    return next((w for labels, w in _breadth_first(
+        tuple(source.block_index_of()), moves, _moved_labels,
+        Permutation.identity(ambient.degree)) if labels == want), None)
 
 
 def align_sylow_orbits(R, T, p):
@@ -384,7 +480,7 @@ def _two_group_tail(R, T, ambient, transcript):
     if _is_power_of(ambient.order, 2):
         return Permutation.identity(R.degree)
     P = sylow_subgroup(ambient, 2, containing=R)
-    Pkeys = _element_keys(P)
+    Pkeys = {g.images for g in P.elements()}
     for d in ambient.elements():
         dinv = d.inverse()
         if all((dinv * t * d).images in Pkeys for t in T.generators):

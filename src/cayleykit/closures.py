@@ -349,18 +349,22 @@ def brute_force_automorphisms(S):
 
     The group is built from the automorphisms, in filter order, that are
     not in the closure of those kept before them: at most log2 of the
-    order many generators.  The closure must hold exactly the automorphisms
-    found, or RuntimeError is raised.
+    order many generators.  The filter is streamed: automorphisms are
+    counted and the closure grown as they come, none of them kept.  The
+    closure must hold exactly as many as were counted, or RuntimeError
+    is raised.
     """
     n = S.degree
     if n > 8:
         raise ValueError("brute force oracle limited to degree 8")
-    found = [p for p in map(Permutation, itertools.permutations(range(n)))
-             if is_automorphism(S, p)]
+    found = 0
     gens = []
     closure = [tuple(range(n))]
     seen = set(closure)
-    for p in found:
+    for p in map(Permutation, itertools.permutations(range(n))):
+        if not is_automorphism(S, p):
+            continue
+        found += 1
         if p.images in seen:
             continue
         # grow the closure by right multiplication: every old element
@@ -374,8 +378,8 @@ def brute_force_automorphisms(S):
                 if c not in seen:
                     seen.add(c)
                     closure.append(c)
-    if len(closure) != len(found):
+    if len(closure) != found:
         raise RuntimeError(
-            f"{len(found)} automorphisms found, but they generate "
+            f"{found} automorphisms found, but they generate "
             f"{len(closure)} permutations")
     return PermGroup(n, [Permutation(g) for g in gens])

@@ -166,7 +166,9 @@ def orbit(start, gens, act):
 
 
 class _Chain:
-    """Stabilizer chain of a base and a strong generating set."""
+    """Stabilizer chain of a base and a strong generating set.  Each
+    level keeps the inverses of its transversal elements as they are
+    asked for, until the level is recomputed."""
 
     def __init__(self, degree, base, strong):
         """Transversals built by orbit; no Schreier generator is sifted."""
@@ -175,6 +177,7 @@ class _Chain:
         self.base = list(base)
         self.strong = list(strong)
         self.transversals = [None] * len(self.base)
+        self.inverses = [None] * len(self.base)
         for i in range(len(self.base)):
             self._recompute(i)
 
@@ -194,12 +197,18 @@ class _Chain:
         pt = min(x for x in range(self.degree) if g(x) != x)
         self.base.append(pt)
         self.transversals.append({pt: self.identity})
+        self.inverses.append({})
 
     def _level_gens(self, i):
-        prefix = self.base[:i]
-        return [s for s in self.strong if all(s(b) == b for b in prefix)]
+        if i == 0:
+            return list(self.strong)
+        # one gather of the base prefix per generator
+        at_prefix = itemgetter(*self.base[:i])
+        fixed = at_prefix(self.identity.images)
+        return [s for s in self.strong if at_prefix(s.images) == fixed]
 
     def _recompute(self, i):
+        """Level i's transversal, by orbit; returns its generators."""
         b = self.base[i]
         gens = self._level_gens(i)
         t = {b: self.identity}
@@ -215,6 +224,15 @@ class _Chain:
                         new.append(y)
             frontier = sorted(new)
         self.transversals[i] = t
+        self.inverses[i] = {}
+        return gens
+
+    def _inverse(self, i, x):
+        """The inverse of transversals[i][x]."""
+        inv = self.inverses[i]
+        if x not in inv:
+            inv[x] = self.transversals[i][x].inverse()
+        return inv[x]
 
     def strip(self, g, start=0):
         """Sift g through levels >= start; returns (residue, stuck_level)."""
@@ -223,7 +241,7 @@ class _Chain:
             t = self.transversals[j]
             if x not in t:
                 return g, j
-            g = t[x].inverse() * g
+            g = self._inverse(j, x) * g
         return g, len(self.base)
 
     def _close(self):
@@ -241,26 +259,23 @@ class _Chain:
         proven = {}
         i = len(self.base) - 1
         while i >= 0:
-            self._recompute(i)
+            gens = self._recompute(i)
             t = self.transversals[i]
-            gens = self._level_gens(i)
             known = proven.setdefault(i, set())
-            inverses = {}
             dirty_level = None
             for x in sorted(t):
-                tx = t[x]
+                # on image tuples: s * u_x is s gathered at u_x
+                at_tx = itemgetter(*t[x].images)
                 for s in gens:
-                    y = s(x)
-                    stx = s * tx
-                    if stx.images == t[y].images:
+                    y = s.images[x]
+                    stx = at_tx(s.images)
+                    if stx == t[y].images:
                         continue  # u_y^-1 s u_x is the identity
-                    if y not in inverses:
-                        inverses[y] = t[y].inverse()
-                    sg = inverses[y] * stx
-                    if sg.images in known:
+                    sg = itemgetter(*stx)(self._inverse(i, y).images)
+                    if sg in known:
                         continue
-                    known.add(sg.images)
-                    residue, j = self.strip(sg, i + 1)
+                    known.add(sg)
+                    residue, j = self.strip(_unchecked(sg), i + 1)
                     if not residue.is_identity():
                         self.strong.append(residue)
                         if j == len(self.base):
@@ -301,7 +316,7 @@ class _Chain:
         g = self.identity
         for i, want in enumerate(images):
             t = self.transversals[i]
-            x = g.inverse()(want)
+            x = g.images.index(want)
             if x not in t:
                 return None
             g = g * t[x]
@@ -408,7 +423,29 @@ class PermGroup:
         return all(len(orb) == self.order for orb in self.orbits())
 
     def is_regular(self):
-        return self.is_transitive() and self.order == self.degree
+        """Transitive of order n.  Before a chain is built, the group is
+        listed by right multiplication, up to n + 1 elements; a regular
+        group then gets the chain on the base [0] with its generators as
+        the strong set.  That is its Schreier-Sims chain: every other
+        element moves 0, so no Schreier generator survives."""
+        n = self.degree
+        if self._base is not None or "_chain" in vars(self):
+            return self.is_transitive() and self.order == n
+        out = [tuple(range(n))]
+        seen = set(out)
+        gathers = [itemgetter(*g.images) for g in self.generators]
+        for x in out:
+            for gather in gathers:
+                y = gather(x)
+                if y not in seen:
+                    if len(out) == n:
+                        return False
+                    seen.add(y)
+                    out.append(y)
+        regular = len(out) == n == len({x[0] for x in out})
+        if regular and self.generators:
+            self._chain = _Chain(n, [0], self.generators)
+        return regular
 
     def transitivity_profile(self):
         semi = self.is_semiregular()

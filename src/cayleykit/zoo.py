@@ -444,9 +444,7 @@ def cayley_table(G):
     if not G.is_regular():
         raise ValueError("a Cayley table needs a regular group")
     # rows have distinct first entries, so sorting orders them by g_y(0)
-    return sorted(orbit(tuple(range(G.degree)),
-                        [g.images for g in G.generators],
-                        lambda x, s: tuple([x[i] for i in s])))
+    return sorted(g.images for g in G.elements())
 
 
 def _table_profile(t):
@@ -476,6 +474,14 @@ def _table_profile(t):
     return orders, gens, span, fingerprint
 
 
+def _by_order(orders):
+    """order -> the labels of the elements of that order, increasing."""
+    by_order = {}
+    for y, o in enumerate(orders):
+        by_order.setdefault(o, []).append(y)
+    return by_order
+
+
 def isomorphism_test(tb):
     """The test ta -> (is the group with product table ta isomorphic to the
     group with product table tb?), with tb's invariants computed once for
@@ -486,9 +492,7 @@ def isomorphism_test(tb):
     their span, failing on the first conflict; a bijection is accepted.
     """
     b_orders, _, _, b_fingerprint = _table_profile(tb)
-    by_order = {}
-    for y, o in enumerate(b_orders):
-        by_order.setdefault(o, []).append(y)
+    by_order = _by_order(b_orders)
 
     def grows(ta, gens, span, images):
         """The map gens -> images grown over span by right multiplication:

@@ -21,7 +21,8 @@ from cayleykit.perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP,
                             sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
-from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
+from cayleykit.zoo import (GroupSpec, cor2_groups, inner_holomorph,
+                           regular_representation)
 
 
 def regular(spec):
@@ -100,6 +101,17 @@ class TestConjugacy:
         with pytest.raises(ValueError):
             are_conjugate_subgroups(S4, S5sub, S5sub)
 
+    def test_regular_pair_over_the_ambient_cap_is_certified(self):
+        # <G1, G2> has order 1055^2, over the cap that the class walk
+        # keeps; G1 is cyclic, so the candidates are the 840 images of a
+        # generator among the elements of order 1055
+        G1, G2 = cor2_groups(211, 5, 0, 1)
+        A = PermGroup(1055, list(G1.generators) + list(G2.generators))
+        transcript = []
+        assert are_conjugate_subgroups(A, G1, G2, transcript) is None
+        assert A.order == 1055 ** 2 > BRUTE_FORCE_CAP
+        assert sum(e.get("dropped", 1) for e in transcript) == 840
+
 
 @st.composite
 def conjugacy_cases(draw):
@@ -138,9 +150,11 @@ def test_conjugacy_matches_brute_force(case):
     if got is not None:
         assert A.contains(got)
         assert {g.images for g in R.conjugate(got).elements()} == Tkeys
-    elif R.order == T.order:
-        # a "none" tried every member of R's class, one per right coset
-        # of the normalizer
+    elif R.order == T.order and not (R.is_regular() and T.is_regular()):
+        # a "none" from the class walk tried every member of R's class,
+        # one per right coset of the normalizer; regular pairs, which
+        # count candidates, are checked by
+        # test_regular_route_matches_the_class_walk
         tried = sum(e.get("dropped", 1) for e in transcript)
         normalizer = sum(maps_into(c, Rkeys) for c in elems)
         assert tried == A.order // normalizer
@@ -217,6 +231,17 @@ class TestRegularSubgroups:
         with pytest.raises(ValueError):
             regular_subgroups(PermGroup.symmetric(4), GroupSpec.cyclic(5))
 
+    def test_search_above_degree_256_keeps_tuples(self):
+        # rows of degree 258 do not fit bytes, so the decided classes hold
+        # image tuples; a conjugate key that missed its class would show
+        # up as a third class
+        spec = GroupSpec.dihedral(129)
+        A = inner_holomorph(spec)
+        assert ci._pack(A.degree) is tuple
+        reps = regular_subgroups(A, spec)
+        assert len(reps) == 2
+        assert are_conjugate_subgroups(A, *reps) is None
+
     def test_c2_x_d4_row_is_pinned(self):
         # the representatives, the least-key member of each class, must
         # not change
@@ -242,8 +267,9 @@ class TestRegularSubgroups:
                           "f04d2e9150c0052365743babf88bab00")
 
     def test_c2_x_d4_row_builds_one_chain(self, monkeypatch):
-        # the representatives take their chains from the known base [0];
-        # the one Schreier-Sims build is the regular copy of the spec
+        # the representatives take their chains from the known base [0],
+        # and the regular copy of the spec gets its chain from is_regular:
+        # no Schreier-Sims build at all
         A, spec = c2_x_d4_row()
         builds = []
         build = perm._Chain.schreier_sims
@@ -254,7 +280,7 @@ class TestRegularSubgroups:
 
         monkeypatch.setattr(perm._Chain, "schreier_sims", counted)
         assert len(regular_subgroups(A, spec)) == 15
-        assert len(builds) == 1
+        assert len(builds) == 0
 
     def test_pinned_rows_do_not_list_the_ambient(self, monkeypatch):
         # candidates come from the cosets of A_0 the search visits; the
@@ -386,6 +412,45 @@ def test_regular_subgroups_match_oracle(case):
     assert len(reps) == len(regular_class_scan(A, [spec])[0])
     for H, K in itertools.combinations(reps, 2):
         assert are_conjugate_subgroups(A, H, K) is None
+
+
+@st.composite
+def regular_pairs(draw):
+    """A small ambient (see small_ambients) and two regular subgroups of
+    it: class representatives of its regular subgroups isomorphic to any
+    spec of its degree, or one and its conjugate by a random element."""
+    A, _ = draw(small_ambients())
+    assume(A.order <= 1152)
+    reps = [H for spec in SMALL_SPECS if spec.size == A.degree
+            for H in regular_subgroups(A, spec)]
+    R = draw(st.sampled_from(reps))
+    if draw(st.booleans()):
+        return A, R, R.conjugate(A.element_at(draw(st.integers(
+            0, A.order - 1))))
+    return A, R, draw(st.sampled_from([H for H in reps if H is not R]
+                                      or reps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(regular_pairs())
+def test_regular_route_matches_the_class_walk(case):
+    A, R, T = case
+    Tkeys = {g.images for g in T.elements()}
+    count, attempts = ci._base_image_search(A, R, T)
+    found = [c for _, c in attempts]
+    assert len(found) == count
+    by_walk = next((c for _, c in ci._class_walk(A, R, T) if c is not None),
+                   None)
+    assert any(found) == (by_walk is not None)
+    for c in filter(None, found):
+        assert A.contains(c)
+        assert {g.images for g in R.conjugate(c).elements()} == Tkeys
+    transcript = []
+    got = are_conjugate_subgroups(A, R, T, transcript=transcript)
+    assert (got is not None) == (by_walk is not None)
+    if got is None and count <= A.order:
+        # a "none" from the regular route tried every candidate
+        assert sum(e.get("dropped", 1) for e in transcript) == count
 
 
 def subgroup_key(images):
@@ -541,6 +606,56 @@ class TestAlignment:
         src = BlockSystem(4, [[0, 1], [2, 3]])
         tgt = BlockSystem(4, [[0, 2], [1, 3]])
         assert partition_transporter(G, src, tgt) is None
+
+    def test_transporter_of_degree_1(self):
+        part = BlockSystem.singletons(1)
+        assert partition_transporter(PermGroup.trivial(1), part, part) \
+            == Permutation.identity(1)
+
+
+def block_system_transporter(ambient, source, target):
+    """The breadth-first search over BlockSystem states that
+    partition_transporter makes on block labels, state for state."""
+    queue = [(source, Permutation.identity(ambient.degree))]
+    seen = {source}
+    for part, w in queue:
+        if part == target:
+            return w
+        for g in ambient.generators:
+            image = part.apply(g.inverse())
+            if image not in seen:
+                seen.add(image)
+                queue.append((image, w * g))
+    return None
+
+
+@st.composite
+def transporter_cases(draw):
+    """A random group of degree 2 to 8 and two partitions into equal
+    cells; half the time the target is the source moved by an element of
+    the group."""
+    n = draw(st.integers(2, 8))
+    perms = st.permutations(range(n)).map(Permutation)
+    G = PermGroup(n, draw(st.lists(perms, min_size=1, max_size=3)))
+    size = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+    def partition():
+        points = draw(st.permutations(range(n)))
+        return BlockSystem(n, [points[i:i + size] for i in range(0, n, size)])
+
+    source = partition()
+    if draw(st.booleans()):
+        return G, source, source.apply(G.element_at(draw(st.integers(
+            0, G.order - 1))))
+    return G, source, partition()
+
+
+@settings(max_examples=100, deadline=None)
+@given(transporter_cases())
+def test_transporter_returns_the_block_system_word(case):
+    G, source, target = case
+    assert partition_transporter(G, source, target) \
+        == block_system_transporter(G, source, target)
 
 
 # order-12 pairs (R, R^c) with no conjugate aligning the Sylow 3-orbits
