@@ -11,6 +11,7 @@ witness pair.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import prod
 from operator import itemgetter
 
@@ -266,7 +267,8 @@ def regular_subgroups(A, spec):
     if A.order > BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"group order {A.order} exceeds cap {BRUTE_FORCE_CAP}")
-    hist = spec.order_histogram()
+    table = cayley_table(regular_representation(spec, "left").group)
+    hist = Counter(_table_profile(table)[0])
     chain = A._chain
     if chain.base[:1] != [0]:  # the cosets of A_0 need 0 first in the base
         chain = _Chain.schreier_sims(n, A.generators, base_hint=(0,))
@@ -293,8 +295,7 @@ def regular_subgroups(A, spec):
 
     conj_gens = [_conjugation(g) for g in A.generators]
     pack = _pack(n)
-    is_spec = isomorphism_test(cayley_table(
-        regular_representation(spec, "left").group))
+    is_spec = isomorphism_test(table)
     reps = []
     seen_conjugates = set()
 
@@ -432,12 +433,18 @@ def align_sylow_orbits(R, T, p):
         raise ValueError("p must divide the group order")
     if not (R.is_regular() and T.is_regular()):
         raise ValueError("R and T must be regular")
+    return _align_sylow_orbits(R, T, p, _joint(R, T))[1]
+
+
+def _joint(R, T):
+    """<R, T> for regular R and T, refused unless they are isomorphic and
+    it is within the element cap."""
     if not isomorphic_groups(R, T):
         raise ValueError("R and T must be isomorphic")
     ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
     if ambient.order > BRUTE_FORCE_CAP:
         raise CapExceededError("ambient group exceeds the cap")
-    return _align_sylow_orbits(R, T, p, ambient)[1]
+    return ambient
 
 
 def _align_sylow_orbits(R, T, p, ambient):
@@ -589,11 +596,7 @@ def block_tower_search(R, T):
     verdict = group_in_family_R(R)
     if not verdict["member"]:
         raise ValueError("R is outside the supported family")
-    if not isomorphic_groups(R, T):
-        raise ValueError("R and T must be isomorphic")
-    ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
-    if ambient.order > BRUTE_FORCE_CAP:
-        raise CapExceededError("ambient group exceeds the cap")
+    ambient = _joint(R, T)
     transcript = []
     c, tower, tag, joint = _descend(R, T, ambient, transcript)
     if c is None:

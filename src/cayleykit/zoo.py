@@ -203,9 +203,6 @@ class GroupSpec:
 
     # -- element arithmetic on labels --------------------------------------
 
-    def identity_label(self):
-        return 0
-
     def mult(self, g, h):
         out = 0
         for place, size, a, b, powers, t in self._rows:
@@ -219,19 +216,11 @@ class GroupSpec:
         return out
 
     def inv(self, a):
-        e = self.identity_label()
+        # the power of a just before the identity, label 0
         prev, acc = a, self.mult(a, a)
-        while acc != e:
+        while acc != 0:
             prev, acc = acc, self.mult(acc, a)
-        return e if a == e else prev
-
-    def element_order(self, a):
-        e = self.identity_label()
-        k, acc = 1, a
-        while acc != e:
-            acc = self.mult(acc, a)
-            k += 1
-        return k
+        return prev
 
     def generator_labels(self):
         return sorted(place * g for place, _, a, b, _, _ in self._rows
@@ -247,9 +236,6 @@ class GroupSpec:
                                           for d in range(1, n)):
                 return w
         raise AssertionError("no primitive root found")
-
-    def order_histogram(self):
-        return Counter(self.element_order(a) for a in range(self.size))
 
     def to_json(self):
         k, p = self.kind, self.params
@@ -525,10 +511,7 @@ def cor2_groups(p, n, a, b):
 
     Returns (G1, G2) inside inner_holomorph(frobenius(p, n)).
     """
-    if not _is_prime(p):
-        raise ValueError("p must be prime")
-    if n < 2 or (p - 1) % n != 0:
-        raise ValueError("n must divide p-1")
+    spec = GroupSpec.frobenius(p, n)
     if not 2 < n < p - 1:
         raise ValueError("need 2 < n < p-1")
     a %= n
@@ -541,7 +524,6 @@ def cor2_groups(p, n, a, b):
         raise ValueError("b must be a unit mod n")
     if gcd((a - b) % n, n) != 1:
         raise ValueError("a - b must be invertible mod n")
-    spec = GroupSpec.frobenius(p, n)
 
     def F(x, i):
         return (x % p) * n + (i % n)

@@ -601,6 +601,22 @@ class TestAlignment:
         with pytest.raises(ValueError):
             align_sylow_orbits(R, R, 2)
 
+    @pytest.mark.parametrize("search", [
+        lambda R, T: align_sylow_orbits(R, T, 3), block_tower_search],
+        ids=["align", "tower"])
+    def test_joint_refusals(self, search):
+        # both entry points share one check of <R, T>: non-isomorphic
+        # groups first, then <R, T> = S12 over the element cap
+        with pytest.raises(ValueError, match="^R and T must be isomorphic$"):
+            search(regular(GroupSpec.dicyclic(3)),
+                   regular(GroupSpec.cyclic(12)))
+        C = regular(GroupSpec.cyclic(12))
+        T = C.conjugate(Permutation([1, 0] + list(range(2, 12))))
+        assert PermGroup(12, list(C.generators) + list(T.generators)).order \
+            == 479001600
+        with pytest.raises(CapExceededError):
+            search(C, T)
+
     def test_transporter_none_certified(self):
         G = PermGroup(4, [Permutation([1, 0, 2, 3])])
         src = BlockSystem(4, [[0, 1], [2, 3]])

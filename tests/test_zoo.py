@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit.perm import PermGroup, Permutation, _is_prime
-from cayleykit.zoo import (GroupSpec, cayley_table, cor2_groups,
-                           frobenius_natural_action, group_in_family_R,
-                           inner_holomorph, isomorphic_groups,
-                           isomorphic_to_spec, regular_representation,
-                           zsigmondy_ppd)
+from cayleykit.zoo import (GroupSpec, _table_profile, cayley_table,
+                           cor2_groups, frobenius_natural_action,
+                           group_in_family_R, inner_holomorph,
+                           isomorphic_groups, isomorphic_to_spec,
+                           regular_representation, zsigmondy_ppd)
 
 CORPUS = [GroupSpec.cyclic(7), GroupSpec.cyclic(12),
           GroupSpec.elementary_abelian_2(3), GroupSpec.z4(), GroupSpec.z8(),
@@ -59,10 +59,9 @@ class TestGroupSpecValidation:
 class TestGroupAxioms:
     @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: f"{s.kind}{s.size}")
     def test_identity_and_inverses(self, spec):
-        e = spec.identity_label()
         for a in range(spec.size):
-            assert spec.mult(a, e) == a == spec.mult(e, a)
-            assert spec.mult(a, spec.inv(a)) == e
+            assert spec.mult(a, 0) == a == spec.mult(0, a)
+            assert spec.mult(a, spec.inv(a)) == 0
 
     @pytest.mark.parametrize("spec", [GroupSpec.q8(), GroupSpec.dicyclic(5),
                                       GroupSpec.dicyclic(4),
@@ -77,18 +76,27 @@ class TestGroupAxioms:
                 for c in range(0, n, 3):
                     assert spec.mult(ab, c) == spec.mult(a, spec.mult(b, c))
 
-    def test_element_orders_sum(self):
-        spec = GroupSpec.dicyclic(5)
-        hist = spec.order_histogram()
-        assert sum(hist.values()) == 20
-        assert hist[2] == 1  # unique involution
-
-    @pytest.mark.parametrize("m", [4, 8])
-    def test_generalized_quaternion_orders(self, m):
-        hist = GroupSpec.dicyclic(m).order_histogram()
-        assert sum(hist.values()) == 4 * m
-        assert hist[2] == 1
-        assert max(hist) == 2 * m
+    @pytest.mark.parametrize(
+        "spec", CORPUS + [GroupSpec.dicyclic(5), GroupSpec.dicyclic(8)],
+        ids=lambda s: f"{s.kind}{s.size}")
+    def test_table_orders_match_power_loop(self, spec):
+        # the orders read off the product table of the regular
+        # representation, against powers of each label under spec.mult
+        orders = _table_profile(cayley_table(
+            regular_representation(spec).group))[0]
+        naive = []
+        for a in range(spec.size):
+            k, acc = 1, a
+            while acc != 0:
+                k, acc = k + 1, spec.mult(acc, a)
+            naive.append(k)
+        assert sorted(orders) == sorted(naive)
+        if spec.kind == "dicyclic":
+            m = spec.params["m"]
+            assert len(orders) == 4 * m
+            assert orders.count(2) == 1  # unique involution
+            if m % 2 == 0:  # generalized quaternion
+                assert max(orders) == 2 * m
 
     def test_dicyclic_2_is_q8(self):
         d, q = GroupSpec.dicyclic(2), GroupSpec.q8()
@@ -281,6 +289,19 @@ class TestFamilyMembership:
         res = group_in_family_R(regular_representation(GroupSpec.z8()).group)
         assert res["member"]
         assert res["witness"].get("degenerate")
+
+    def test_elspas_turner_pair_on_z8(self):
+        # Z8 is a degenerate member, yet not CI^(3): sigma is an
+        # isomorphism Cay(Z8, S) -> Cay(Z8, T) of Cayley digraphs, and no
+        # automorphism x -> u*x of Z8 maps S to T
+        S, T = {1, 2, 5}, {1, 5, 6}
+        sigma = (0, 1, 6, 7, 4, 5, 2, 3)
+        assert ({(sigma[x], sigma[(x + s) % 8]) for x in range(8) for s in S}
+                == {(y, (y + t) % 8) for y in range(8) for t in T})
+        assert all({u * s % 8 for s in S} != T for u in (1, 3, 5, 7))
+        res = group_in_family_R(
+            regular_representation(GroupSpec.cyclic(8)).group)
+        assert res["member"] and res["witness"].get("degenerate")
 
     def test_dihedral_case_b(self):
         res = group_in_family_R(
