@@ -82,10 +82,6 @@ class BlockSystem:
         return {"degree": self.degree,
                 "blocks": [list(b) for b in self.blocks]}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["degree"], data["blocks"])
-
 
 def _join(G, pair, cells=()):
     """The finest G-invariant partition coarser than the G-invariant

@@ -38,11 +38,10 @@ def parse_spec(text):
     kind, args = m.group(1), m.group(2)
     args = [int(a) for a in args.split(",") if a.strip()] if args else []
     params = SPEC_PARAMS.get(kind, ())
-    spec = GroupSpec(kind, **dict(zip(params, args)))
-    if len(args) > len(params):
+    if kind in SPEC_PARAMS and len(args) > len(params):
         raise ValueError(f"{kind} takes {len(params)} argument(s), "
                          f"got {len(args)}")
-    return spec
+    return GroupSpec(kind, **dict(zip(params, args)))
 
 
 def _read_group(path):

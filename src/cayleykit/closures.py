@@ -61,14 +61,6 @@ class ColoredStructure:
     def __hash__(self):
         return hash((self.degree, self.arity, self.colors))
 
-    def to_json(self):
-        return {"degree": self.degree, "arity": self.arity,
-                "colors": list(self.colors)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["degree"], data["arity"], data["colors"])
-
 
 def _canonical(degree, arity, colors):
     """A ColoredStructure from a color tuple already numbered by first

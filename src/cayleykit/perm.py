@@ -139,10 +139,6 @@ class Permutation:
     def to_json(self):
         return list(self.images)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
 
 def _unchecked(images):
     """A Permutation from an image tuple known to be a bijection."""
@@ -463,10 +459,6 @@ class PermGroup:
     def to_json(self):
         return {"degree": self.degree,
                 "generators": [list(g.images) for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(*parse_group_json(data))
 
 
 def parse_group_json(data):

@@ -16,7 +16,6 @@ b > 1), times its place value.
 
     kind                          rows (a, b, r, t)
     cyclic(n)                     (n, 1, 1, 0)
-    z4, z8                        (4, 1, 1, 0), (8, 1, 1, 0)
     dihedral(m)                   (m, 2, -1, 0)
     dicyclic(m), odd m            (m, 4, -1, 0)
     dicyclic(m), even m           (2m, 2, -1, m)
@@ -44,8 +43,8 @@ from .perm import (PermGroup, Permutation, _is_power_of, _is_prime, orbit,
 
 # The integer parameters of each GroupSpec kind except direct_product, in
 # the order that the constructors and the CLI's name syntax take them.
-SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "z4": (),
-               "z8": (), "q8": (), "dihedral": ("m",), "dicyclic": ("m",),
+SPEC_PARAMS = {"cyclic": ("n",), "elementary_abelian_2": ("e",), "q8": (),
+               "dihedral": ("m",), "dicyclic": ("m",),
                "zn_semidirect_y": ("n", "order_of_y", "action"),
                "frobenius": ("p", "n")}
 
@@ -59,8 +58,6 @@ MAX_SPEC_ORDER = 2048
 # and _validate reads size before it checks that.
 _METACYCLIC = {
     "cyclic": lambda p: (p["n"], 1, 1, 0),
-    "z4": lambda p: (4, 1, 1, 0),
-    "z8": lambda p: (8, 1, 1, 0),
     "dihedral": lambda p: (p["m"], 2, -1, 0),
     "dicyclic": lambda p: ((p["m"], 4, -1, 0) if p["m"] % 2
                            else (2 * p["m"], 2, -1, p["m"])),
@@ -102,14 +99,6 @@ class GroupSpec:
     @classmethod
     def elementary_abelian_2(cls, e):
         return cls("elementary_abelian_2", e=e)
-
-    @classmethod
-    def z4(cls):
-        return cls("z4")
-
-    @classmethod
-    def z8(cls):
-        return cls("z8")
 
     @classmethod
     def q8(cls):

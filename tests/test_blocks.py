@@ -39,7 +39,7 @@ class TestBlockSystem:
 
     def test_json_roundtrip(self):
         bs = BlockSystem(6, [[0, 3], [1, 4], [2, 5]])
-        assert BlockSystem.from_json(bs.to_json()) == bs
+        assert BlockSystem(**bs.to_json()) == bs
 
     def test_apply(self):
         bs = BlockSystem(4, [[0, 1], [2, 3]])

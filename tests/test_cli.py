@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit import ci, perm
 from cayleykit.cli import main, parse_spec
-from cayleykit.perm import PermGroup
+from cayleykit.perm import PermGroup, parse_group_json
 from cayleykit.zoo import SPEC_PARAMS, GroupSpec
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -70,7 +70,7 @@ class TestParseSpec:
         assert spec.size == 20 and spec.kind == "dicyclic"
 
     def test_rejects_garbage(self):
-        for bad in ["", "cyclic(", "wat(3)", "q8(2)"]:
+        for bad in ["", "cyclic(", "wat(3)", "q8(2)", "z4", "z8"]:
             with pytest.raises(ValueError):
                 parse_spec(bad)
 
@@ -96,9 +96,9 @@ class TestConstruct:
         assert code == 2
 
     def test_wrong_argument_count_is_usage_error(self, capsys):
-        code, payload = usage_error(capsys, "construct", "--spec",
-                                    "cyclic(1,2)")
-        assert code == 2 and "argument" in payload["error"]
+        for spec in ("cyclic(1,2)", "cyclic(0,5)"):
+            code, payload = usage_error(capsys, "construct", "--spec", spec)
+            assert code == 2 and "argument" in payload["error"]
 
     def test_wrongly_typed_json_parameter_is_usage_error(self, capsys):
         code, payload = usage_error(capsys, "construct", "--spec",
@@ -224,7 +224,7 @@ class TestClosure:
     def test_m12_fixture(self, capsys):
         # the README example: M12 is not 2-closed, its 2-closure is S12
         with open(M12) as fh:
-            assert PermGroup.from_json(json.load(fh)).order == 95040
+            assert PermGroup(*parse_group_json(json.load(fh))).order == 95040
         code, payload = run(capsys, "closure", "--fixture", M12, "--k", "2")
         assert code == 0
         assert payload["closure"]["order"] == 479001600

@@ -3,7 +3,8 @@ no unused import, one import statement per imported module, imports
 from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
-and oracles that do not call the kernels they check."""
+and oracles that do not call the kernels they check.  A classmethod is
+reached only as `Owner.name`, or as `cls.name` inside its own class."""
 
 import ast
 import os
@@ -33,6 +34,14 @@ def referenced(node):
         elif isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
     return out
+
+
+def attributes_of(node, owners):
+    """The attribute names a node reads off one of the bare names in
+    owners, as in `GroupSpec.cyclic` or `cls.cyclic`."""
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name) and sub.value.id in owners}
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])
@@ -108,19 +117,19 @@ UNREACHED_PUBLIC = {
     "ci.py:align_sylow_orbits": "a span of the benchmark tracer",
     "zoo.py:isomorphic_to_spec": "a span of the benchmark tracer",
     "blocks.py:minimal_block_containing":
-        "the planned primitivity test of ROADMAP item 4 will call it",
+        "the planned primitivity test of ROADMAP item 3 will call it",
     "blocks.py:BlockSystem.apply": "the reference breadth-first search in "
         "test_transporter_returns_the_block_system_word",
     "closures.py:ColoredStructure.encode": "reference_is_automorphism",
     "closures.py:ColoredStructure.decode": "reference_is_automorphism",
-    "zoo.py:GroupSpec.z8":
-        "an alias kind kept until ROADMAP item 8 removes it",
 }
 
 
 def test_every_public_definition_is_reached_from_src():
     # __init__ re-exports names; that does not count as a use.  A method
-    # is reached by its name, read anywhere outside its own body.
+    # is reached by its name, read anywhere outside its own body; a
+    # classmethod only as Owner.name, or as cls.name elsewhere in its class,
+    # so that one GroupSpec.from_json reader does not reach every from_json
     trees = {name: parse(name) for name in MODULES if name != "__init__.py"}
     nodes = [(name, node, referenced(node))
              for name, tree in trees.items() for node in tree.body]
@@ -137,12 +146,21 @@ def test_every_public_definition_is_reached_from_src():
     for name, cls, _ in nodes:
         if not (public(cls) and isinstance(cls, ast.ClassDef)):
             continue
-        members = [(m, referenced(m)) for m in cls.body]
-        unreached += [
-            f"{name}:{cls.name}.{m.name}" for m, _ in members
-            if public(m, ast.FunctionDef) and not reached(m, cls)
-            and not any(m.name in reads for other, reads in members
-                        if other is not m)]
+        for m in cls.body:
+            if not public(m, ast.FunctionDef):
+                continue
+            siblings = [other for other in cls.body if other is not m]
+            if any(isinstance(d, ast.Name) and d.id == "classmethod"
+                   for d in m.decorator_list):
+                found = any(m.name in attributes_of(other, {cls.name})
+                            for _, other, _ in nodes if other is not cls) \
+                    or any(m.name in attributes_of(other, {cls.name, "cls"})
+                           for other in siblings)
+            else:
+                found = reached(m, cls) or any(
+                    m.name in referenced(other) for other in siblings)
+            if not found:
+                unreached.append(f"{name}:{cls.name}.{m.name}")
     assert sorted(unreached) == sorted(UNREACHED_PUBLIC)
 
 
