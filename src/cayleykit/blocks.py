@@ -86,31 +86,29 @@ class BlockSystem:
 def _join(G, pair, cells=()):
     """The finest G-invariant partition coarser than the G-invariant
     partition into the sorted cells (the singletons by default) with the
-    two points of pair in one cell.  Each merge of two classes queues the
-    images of the merged pair under every generator; pairs inside one of
-    the cells need none, as G maps them into one cell already."""
+    two points of pair in one cell.  A merge relabels the smaller class
+    and queues the images of the merged pair under every generator; pairs
+    inside one of the cells need none, as G maps them into one cell."""
     n = G.degree
-    parent = list(range(n))
+    label = list(range(n))
+    members = [[x] for x in range(n)]  # members[r]: the class labeled r
     for cell in cells:
         for x in cell:
-            parent[x] = cell[0]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+            label[x] = cell[0]
+        members[cell[0]] = list(cell)
+    gens = [g.images for g in G.generators]
     queue = [pair]
     for a, b in queue:  # the loop appends to the list it reads
-        ra, rb = find(a), find(b)
+        ra, rb = label[a], label[b]
         if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            queue.extend((g(a), g(b)) for g in G.generators)
-    out = {}
-    for x in range(n):
-        out.setdefault(find(x), []).append(x)
-    return BlockSystem(n, out.values())
+            if len(members[ra]) < len(members[rb]):
+                ra, rb = rb, ra
+            for x in members[rb]:
+                label[x] = ra
+            members[ra] += members[rb]
+            for s in gens:
+                queue.append((s[a], s[b]))
+    return BlockSystem(n, [members[r] for r in range(n) if label[r] == r])
 
 
 def minimal_block_containing(G, a, b):

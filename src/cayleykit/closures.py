@@ -8,7 +8,7 @@ ordered k-tuples.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .perm import PermGroup, Permutation, orbit
 
@@ -336,15 +336,53 @@ def is_k_closed(G, k):
     return k_closure(G, k).order == G.order
 
 
-def brute_force_automorphisms(S):
-    """Filter all n! permutations; oracle for small degrees.
+def _color_preserving(S):
+    """The image tuples of every permutation that keeps each tuple's
+    color, in itertools.permutations order.  Images are picked point by
+    point, and a partial map f(0), ..., f(j) is dropped at the first tuple
+    over 0..j that holds j and changes color, so each tuple is checked
+    once.  A stack of iterators, not recursion, so no cycle outlives it.
+    """
+    n, k = S.degree, S.arity
+    if not n:
+        yield ()
+        return
+    colors = S.colors
+    strides = [n ** (k - 1 - i) for i in range(k)]
+    # checks[j]: the color and points of every tuple over 0..j holding j
+    checks = [[(colors[sum(map(mul, t, strides))], t)
+               for t in itertools.product(range(j + 1), repeat=k) if j in t]
+              for j in range(n)]
+    f = []
+    stack = [iter(range(n))]  # stack[j]: the images of j not yet tried
+    while stack:
+        for y in stack[-1]:
+            if y in f:
+                continue
+            f.append(y)
+            if all(c == colors[sum(map(mul, map(f.__getitem__, t), strides))]
+                   for c, t in checks[len(f) - 1]):
+                if len(f) < n:
+                    stack.append(iter(range(n)))
+                    break
+                yield tuple(f)
+            f.pop()
+        else:
+            stack.pop()
+            if f:
+                f.pop()
 
-    The group is built from the automorphisms, in filter order, that are
+
+def brute_force_automorphisms(S):
+    """Every color-preserving permutation, by a pruned walk over all n!;
+    oracle for small degrees.
+
+    The group is built from the automorphisms, in walk order, that are
     not in the closure of those kept before them: at most log2 of the
-    order many generators.  The filter is streamed: automorphisms are
-    counted and the closure grown as they come, none of them kept.  The
-    closure must hold exactly as many as were counted, or RuntimeError
-    is raised.
+    order many generators, each confirmed by is_automorphism.  The walk
+    is streamed: automorphisms are counted and the closure grown as they
+    come, none of them kept.  The closure must hold exactly as many as
+    were counted, or RuntimeError is raised.
     """
     n = S.degree
     if n > 8:
@@ -353,15 +391,15 @@ def brute_force_automorphisms(S):
     gens = []
     closure = [tuple(range(n))]
     seen = set(closure)
-    for p in map(Permutation, itertools.permutations(range(n))):
-        if not is_automorphism(S, p):
-            continue
+    for p in _color_preserving(S):
         found += 1
-        if p.images in seen:
+        if p in seen:
             continue
+        if not is_automorphism(S, Permutation(p)):
+            raise RuntimeError(f"{p} changes a color")
         # grow the closure by right multiplication: every old element
         # times p, then every new element times every kept generator
-        last = [p.images]
+        last = [p]
         gens += last
         old = len(closure)
         for i, a in enumerate(closure):

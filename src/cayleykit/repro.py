@@ -4,9 +4,9 @@ against.
 Each claim function returns a report body {claim, inputs, outputs, pass};
 the bodies are deterministic, so equal inputs give byte-identical bodies.
 The oracles here deliberately avoid the library code paths under test:
-automorphisms are found by filtering all n! permutations, block systems by
-scanning every equal-cell partition, and subgroups by growing the full
-subgroup lattice.
+automorphisms are found by a pruned walk over all n! permutations
+(closures.brute_force_automorphisms), block systems by scanning every
+equal-cell partition, and subgroups by growing the full subgroup lattice.
 """
 
 from __future__ import annotations

@@ -199,6 +199,11 @@ class TestFixAndAction:
         H = block_restriction(G, (0, 2, 4))
         assert H.order == 3 and H.degree == 3
 
+    def test_block_restriction_rejects_a_non_block(self):
+        # the 6-cycle maps {0, 1} to {1, 2}, which meets it in one point
+        with pytest.raises(ValueError, match="not a block"):
+            block_restriction(cyc(6), (0, 1))
+
 
 class TestClassifyAndTower:
     def test_classify_normal(self):

@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -184,6 +185,58 @@ def test_automorphisms_match_brute_force(S):
     assert A.order == B.order
     assert all(B.contains(g) for g in A.generators)
     assert all(A.contains(g) for g in B.generators)
+
+
+# The oracle before its pruned walk, kept verbatim: it filters all n!
+# permutations, and the walk must find the same generators in its order.
+def reference_brute_force_automorphisms(S):
+    """Filter all n! permutations; oracle for small degrees.
+
+    The group is built from the automorphisms, in filter order, that are
+    not in the closure of those kept before them: at most log2 of the
+    order many generators.  The filter is streamed: automorphisms are
+    counted and the closure grown as they come, none of them kept.  The
+    closure must hold exactly as many as were counted, or RuntimeError
+    is raised.
+    """
+    n = S.degree
+    if n > 8:
+        raise ValueError("brute force oracle limited to degree 8")
+    found = 0
+    gens = []
+    closure = [tuple(range(n))]
+    seen = set(closure)
+    for p in map(Permutation, itertools.permutations(range(n))):
+        if not is_automorphism(S, p):
+            continue
+        found += 1
+        if p.images in seen:
+            continue
+        # grow the closure by right multiplication: every old element
+        # times p, then every new element times every kept generator
+        last = [p.images]
+        gens += last
+        old = len(closure)
+        for i, a in enumerate(closure):
+            for b in (last if i < old else gens):
+                c = tuple([a[x] for x in b])
+                if c not in seen:
+                    seen.add(c)
+                    closure.append(c)
+    if len(closure) != found:
+        raise RuntimeError(
+            f"{found} automorphisms found, but they generate "
+            f"{len(closure)} permutations")
+    return PermGroup(n, [Permutation(g) for g in gens])
+
+
+@settings(max_examples=150, deadline=None)
+@given(colorings(max_degree=6))
+def test_brute_force_walk_matches_the_filter(S):
+    B = brute_force_automorphisms(S)
+    R = reference_brute_force_automorphisms(S)
+    assert B.order == R.order
+    assert B.generators == R.generators
 
 
 # The search before its candidates came from color buckets, kept verbatim:
@@ -451,7 +504,11 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("spec,k", [
         (GroupSpec.cyclic(5), 2), (GroupSpec.cyclic(6), 2),
         (GroupSpec.cyclic(6), 3), (GroupSpec.dihedral(3), 2),
-        (GroupSpec.dihedral(3), 3)],
+        (GroupSpec.dihedral(3), 3)] + [
+        (spec, k)
+        for spec in (GroupSpec.cyclic(8), GroupSpec.q8(),
+                     GroupSpec.dihedral(4), GroupSpec.elementary_abelian_2(3))
+        for k in (2, 3)],
         ids=lambda v: str(v))
     def test_matches_brute_force_regular(self, spec, k):
         S = orbit_coloring(regular(spec), k)
@@ -476,17 +533,39 @@ class TestAutomorphisms:
 
     def test_brute_force_raises_when_the_filter_is_not_a_group(
             self, monkeypatch):
-        # a filter that keeps the identity and one 3-cycle but not its
+        # a walk that yields the identity and one 3-cycle but not its
         # square: the kept generator closes to three permutations, not two
-        keep = {(0, 1, 2, 3), (1, 2, 0, 3)}
-        monkeypatch.setattr(closures, "is_automorphism",
-                            lambda S, p: p.images in keep)
+        monkeypatch.setattr(closures, "_color_preserving",
+                            lambda S: iter([(0, 1, 2, 3), (1, 2, 0, 3)]))
         with pytest.raises(RuntimeError, match="generate 3"):
             brute_force_automorphisms(ColoredStructure(4, 1, [0] * 4))
 
+    def test_brute_force_checks_each_generator(self, monkeypatch):
+        # a walk that lets a color change through: (0 3) swaps the one
+        # point of color 1 with a point of color 0
+        monkeypatch.setattr(closures, "_color_preserving",
+                            lambda S: iter([(0, 1, 2, 3), (3, 1, 2, 0)]))
+        with pytest.raises(RuntimeError, match="changes a color"):
+            brute_force_automorphisms(ColoredStructure(4, 1, [0, 0, 0, 1]))
+
+    def test_brute_force_leaves_no_garbage(self):
+        # the walk lists all 7! permutations; none of them may be kept
+        # alive by a reference cycle until the collector runs
+        S = ColoredStructure(7, 1, [0] * 7)
+        gc.collect()
+        gc.disable()
+        try:
+            B = brute_force_automorphisms(S)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert B.order == 5040
+
     def test_degree_zero(self):
         for k in (1, 2, 3):
-            assert automorphisms(ColoredStructure(0, k, [])).order == 1
+            S = ColoredStructure(0, k, [])
+            assert automorphisms(S).order == 1
+            assert brute_force_automorphisms(S).order == 1
 
     def test_elements_are_automorphisms(self):
         S = orbit_coloring(regular(GroupSpec.q8()), 2)

@@ -165,14 +165,18 @@ def test_every_public_definition_is_reached_from_src():
 
 
 def test_closure_oracles_do_not_use_the_kernels():
-    # is_automorphism and brute_force_automorphisms check orbit_coloring
-    # and automorphisms, so they must not reach the tuple-table kernels or
-    # anything defined inside automorphisms
+    # is_automorphism, brute_force_automorphisms and its walk
+    # _color_preserving check orbit_coloring and automorphisms, so they
+    # must not reach the tuple-table kernels or anything defined inside
+    # automorphisms
     defs = {node.name: node for node in parse("closures.py").body
             if isinstance(node, ast.FunctionDef)}
     inner = {node.name for node in ast.walk(defs["automorphisms"])
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     kernels = {"_orbit_labels", "_tuple_codes"} | inner - {"automorphisms"}
     assert {"consistent", "complete", "keeps_colors"} <= kernels
-    for oracle in ("is_automorphism", "brute_force_automorphisms"):
+    assert "_color_preserving" in referenced(
+        defs["brute_force_automorphisms"])
+    for oracle in ("is_automorphism", "brute_force_automorphisms",
+                   "_color_preserving"):
         assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
