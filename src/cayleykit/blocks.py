@@ -248,9 +248,14 @@ def classify_block_system(G, partition):
         raise ValueError(f"malformed partition: {exc}") from exc
     if not bs.is_invariant_under(G):
         return {"is_block_system": False, "is_normal": False}
-    kernel = _kernel_generators(G, bs)
-    normal = all(len(orbit(cell[0], kernel, lambda x, g: g(x)))
-                 == bs.block_size for cell in bs.blocks)
+    # on the singletons and on one block the kernel is G, so neither needs
+    # a chain: a singleton is an orbit, and one block is iff G is transitive
+    if bs.is_trivial():
+        normal = bs.block_size == 1 or G.is_transitive()
+    else:
+        kernel = _kernel_generators(G, bs)
+        normal = all(len(orbit(cell[0], kernel, lambda x, g: g(x)))
+                     == bs.block_size for cell in bs.blocks)
     return {"is_block_system": True, "is_normal": normal}
 
 

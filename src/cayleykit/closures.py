@@ -25,10 +25,11 @@ class ColoredStructure:
 
     Tuples are encoded in mixed radix with the first coordinate most
     significant; color ids are contiguous, first occurrence in encoding
-    order gives the canonical numbering.
+    order gives the canonical numbering.  At k = 3 the table is kept as n
+    rows, row x holding the colors of (x, ., .); below k = 3 as one row.
     """
 
-    __slots__ = ("degree", "arity", "colors")
+    __slots__ = ("degree", "arity", "rows")
 
     def __init__(self, degree, arity, colors):
         colors = list(colors)
@@ -38,7 +39,13 @@ class ColoredStructure:
         relabel = {c: i for i, c in enumerate(dict.fromkeys(colors))}
         self.degree = degree
         self.arity = arity
-        self.colors = tuple(map(relabel.__getitem__, colors))
+        self.rows = _rows(tuple(map(relabel.__getitem__, colors)),
+                          degree, arity)
+
+    @property
+    def colors(self):
+        """The table as one tuple: a copy, for the oracles."""
+        return tuple(itertools.chain.from_iterable(self.rows))
 
     def encode(self, tup):
         idx = 0
@@ -55,18 +62,26 @@ class ColoredStructure:
 
     def __eq__(self, other):
         return (isinstance(other, ColoredStructure)
-                and (self.degree, self.arity, self.colors)
-                == (other.degree, other.arity, other.colors))
+                and (self.degree, self.arity, self.rows)
+                == (other.degree, other.arity, other.rows))
 
     def __hash__(self):
-        return hash((self.degree, self.arity, self.colors))
+        return hash((self.degree, self.arity, self.rows))
 
 
-def _canonical(degree, arity, colors):
-    """A ColoredStructure from a color tuple already numbered by first
-    occurrence, so renumbering it again is waste."""
+def _rows(colors, n, k):
+    """A flat color table as ColoredStructure keeps it."""
+    if k < 3:
+        return (colors,)
+    size = n ** (k - 1)
+    return tuple(colors[x * size:x * size + size] for x in range(n))
+
+
+def _canonical(degree, arity, rows):
+    """A ColoredStructure from rows already numbered by first occurrence,
+    so renumbering them again is waste."""
     S = object.__new__(ColoredStructure)
-    S.degree, S.arity, S.colors = degree, arity, colors
+    S.degree, S.arity, S.rows = degree, arity, rows
     return S
 
 
@@ -89,10 +104,10 @@ def _tuple_codes(digit, radix, k):
 
 
 def _orbit_labels(gens, n, k):
-    """A label for every k-tuple, in encoding order, such that two tuples
-    share a label iff they lie in one orbit of the group that gens (image
-    tuples) generate.  The labels are the canonical ones: contiguous from
-    0, numbered by first occurrence.
+    """A label for every k-tuple, as the rows of a ColoredStructure, such
+    that two tuples share a label iff they lie in one orbit of the group
+    that gens (image tuples) generate.  The labels are the canonical ones:
+    contiguous from 0, numbered by first occurrence.
 
     For each orbit O with least point r, u_x in a transversal sends r to
     x, and (x, t) lies in the orbit of (r, u_x^-1 t).  So the tuples that
@@ -110,10 +125,10 @@ def _orbit_labels(gens, n, k):
     codes of s^-1 on (k-1)-tuples.  Each generator's code table is built
     once, on first use, not once per point.  Rows, transversal elements
     and Schreier generators are all itemgetter gathers, so no Python loop
-    runs over a row or a permutation.
+    runs over a row or a permutation.  Below k = 3 the rows are joined.
     """
     if not gens or n < 2:  # below two points every tuple is its own orbit
-        return tuple(range(n ** k))
+        return _rows(tuple(range(n ** k)), n, k)
     count = 0  # labels given so far
     if k == 1:
         rows = [None] * n
@@ -122,7 +137,7 @@ def _orbit_labels(gens, n, k):
                 for x in orbit(r, gens, lambda x, s: s[x]):
                     rows[x] = count
                 count += 1
-        return tuple(rows)
+        return (tuple(rows),)
     identity = tuple(range(n))
     inverses = [tuple(sorted(identity, key=s.__getitem__)) for s in gens]
     # as image tuples, by[j](t) is t gens[j] and by_inverse[j](t) is
@@ -150,15 +165,17 @@ def _orbit_labels(gens, n, k):
                     reach.append(y)
                 stab.add(via(by[j](inv[y])))
         stab.discard(identity)
-        sub = _orbit_labels(list(stab), n, k - 1)
-        rows[r] = [count + c for c in sub]
+        sub, = _orbit_labels(list(stab), n, k - 1)
+        rows[r] = tuple([count + c for c in sub])
         count += max(sub) + 1
         for y in reach[1:]:
             x, j = parent[y]
             if gathers[j] is None:
                 gathers[j] = itemgetter(*_tuple_codes(inverses[j], n, k - 1))
             rows[y] = gathers[j](rows[x])
-    return tuple(itertools.chain.from_iterable(rows))
+    if k < 3:
+        return (tuple(itertools.chain.from_iterable(rows)),)
+    return tuple(rows)
 
 
 def orbit_coloring(G, k):
@@ -208,9 +225,9 @@ def automorphisms(S):
     first; at x = 0 it is the only one.  The rest are taken by the position
     j of x: the tuples run along the last coordinate other than j, over
     0..x, for every choice of the k - 2 coordinates left over 0..x.  Since
-    f holds 0..x in order, such a run is a slice of the table, of length
-    x+1, and its image is one itemgetter pick at f(0), ..., f(x) from the
-    image slice of length n: no per-tuple Python work.
+    f holds 0..x in order, such a run is a slice of one row of the table,
+    of length x+1, and its image is one itemgetter pick at f(0), ..., f(x)
+    from the image slice of length n: no per-tuple Python work.
 
     When bucket(f(0)) holds one point per color, every later image is
     forced, so `complete` builds the rest of f in one pass and checks all
@@ -228,24 +245,38 @@ def automorphisms(S):
     """
     n, k = S.degree, S.arity
     check_budget(n, k)
-    colors = S.colors
+    rows = S.rows
     # the code of (x_1..x_k) is the sum of x_i * strides[i], so (x, ..., x)
-    # is x * diagonal, and (y, b, ..., b) is y * lead + b * (diagonal - lead)
+    # is x * diagonal, and (y, b, ..., b) is y * lead + b * home.  Row x
+    # holds (x, ...) at k = 3, and row 0 every tuple below, so (x, ...)
+    # lies in rows[x * split], at its code less x * (lead - first)
     strides = [n ** (k - 1 - i) for i in range(k)]
     diagonal, lead = sum(strides), strides[0]
+    home = diagonal - lead
+    split = k == 3
+    first = 0 if split else lead
+    inner = [first, *strides[1:]]
     # per position j of the new point: its stride, the stride of the slice
-    # (the last coordinate other than j) and the strides left; there is no
-    # slice at k = 1, where the diagonal is the whole check
-    shapes = [(own, step, rest[:-1])
-              for j, own in enumerate(strides)
-              for rest in [strides[:j] + strides[j + 1:]]
+    # (the last coordinate other than j) and the strides left, in a row;
+    # there is no slice at k = 1, where the diagonal is the whole check.  No
+    # slice runs along x_1 at k = 3, so each lies in one row: the new
+    # point's if j = 0, else that of x_1, the one coordinate left
+    shapes = [(own, step, rest[:-1], split and j > 0)
+              for j, own in enumerate(inner)
+              for rest in [inner[:j] + inner[j + 1:]]
               for step in rest[-1:]]
     buckets = {}
+
+    def column(off):
+        """The color at y * first + off in the row of y, for every y."""
+        if split:
+            return map(itemgetter(off), rows)
+        return rows[0][off::lead]
 
     def bucket(b):
         if b not in buckets:
             row = buckets[b] = {}
-            for y, c in enumerate(colors[b * (diagonal - lead)::lead]):
+            for y, c in enumerate(column(b * home)):
                 row.setdefault(c, []).append(y)
         return buckets[b]
 
@@ -253,30 +284,37 @@ def automorphisms(S):
         # partial is any sequence f(0), ..., f(x-1)
         # the diagonal first: at x = 0 it is the only tuple, and an
         # itemgetter of one index would return no tuple
-        if colors[x * diagonal] != colors[y * diagonal]:
+        if rows[x * split][x * (first + home)] \
+                != rows[y * split][y * (first + home)]:
             return False
         if not x:
             return True
         ys = (*partial, y)
         pick = itemgetter(*ys)
-        for own, step, rest in shapes:
+        for own, step, rest, by_row in shapes:
             # the starts of the lines over 0..x, and of their images
             here, there = [x * own], [y * own]
             for o in rest:
                 here = [s + a * o for s in here for a in range(x + 1)]
                 there = [t + b * o for t in there for b in ys]
+            if by_row:  # line a lies in row a, and its image in row f(a)
+                ins, outs = rows, pick(rows)
+            else:
+                ins = itertools.repeat(rows[x * split])
+                outs = itertools.repeat(rows[y * split])
             stop, span = x * step + 1, n * step
-            for s, t in zip(here, there):
-                if colors[s:s + stop:step] != pick(colors[t:t + span:step]):
+            for r, s, q, t in zip(ins, here, outs, there):
+                if r[s:s + stop:step] != pick(q[t:t + span:step]):
                     return False
         return True
 
     def keeps_colors(f):
         """True iff the map f (a list of images), at k >= 2, keeps every
-        tuple's color; stops at the first row that differs."""
+        tuple's color; stops at the first row that differs.  At k = 3 each
+        slice is a whole row, which for a tuple is the row, not a copy."""
         pick = itemgetter(*_tuple_codes(f, n, k - 1))
-        return all(colors[a * lead:a * lead + lead]
-                   == pick(colors[b * lead:b * lead + lead])
+        return all(rows[a * split][a * first:a * first + lead]
+                   == pick(rows[b * split][b * first:b * first + lead])
                    for a, b in enumerate(f))
 
     def complete(partial, used):
@@ -287,14 +325,14 @@ def automorphisms(S):
         by_color = bucket(partial[0])
         if k > 1 and len(by_color) == n:  # one point per color: all forced
             f = list(partial)
-            for c in colors[x * lead::lead]:
+            for c in itertools.islice(column(0), x, None):
                 if c not in by_color:
                     return None
                 f += by_color[c]
             # f is one-to-one if it keeps colors: the tuples (y, f(0), ...,
             # f(0)) have n colors, and so then do (f(y), f(f(0)), ...)
             return Permutation(f) if keeps_colors(f) else None
-        for y in by_color.get(colors[x * lead], ()):
+        for y in by_color.get(rows[x * split][x * first], ()):
             if y in used or not consistent(partial, x, y):
                 continue
             partial.append(y)
@@ -314,7 +352,7 @@ def automorphisms(S):
 
     for i in range(n - 1, -1, -1):
         orb = point_orbit(i)
-        for y in bucket(0)[colors[i * lead]] if i else range(n):
+        for y in bucket(0)[rows[i * split][i * first]] if i else range(n):
             if y in orb or y <= i or not consistent(range(i), i, y):
                 continue
             partial = [*range(i), y]

@@ -340,8 +340,32 @@ class PermGroup:
     @cached_property
     def _chain(self):
         if self._base is None:
-            return _Chain.schreier_sims(self.degree, self.generators)
+            return self._regular_chain() \
+                or _Chain.schreier_sims(self.degree, self.generators)
         return _Chain(self.degree, self._base, self.generators)
+
+    def _regular_chain(self):
+        """If the group is regular and not trivial, its chain on the base
+        [0] with the generators as the strong set, installed and returned;
+        else None.  The group is listed by right multiplication, up to
+        n + 1 elements.  That chain is its Schreier-Sims chain: every other
+        element moves 0, so no Schreier generator survives."""
+        n = self.degree
+        out = [tuple(range(n))]
+        seen = set(out)
+        gathers = [itemgetter(*g.images) for g in self.generators]
+        for x in out:
+            for gather in gathers:
+                y = gather(x)
+                if y not in seen:
+                    if len(out) == n:
+                        return None
+                    seen.add(y)
+                    out.append(y)
+        if self.generators and len(out) == n == len({x[0] for x in out}):
+            self._chain = _Chain(n, [0], self.generators)
+            return self._chain
+        return None
 
     @cached_property
     def order(self):
@@ -419,29 +443,12 @@ class PermGroup:
         return all(len(orb) == self.order for orb in self.orbits())
 
     def is_regular(self):
-        """Transitive of order n.  Before a chain is built, the group is
-        listed by right multiplication, up to n + 1 elements; a regular
-        group then gets the chain on the base [0] with its generators as
-        the strong set.  That is its Schreier-Sims chain: every other
-        element moves 0, so no Schreier generator survives."""
-        n = self.degree
-        if self._base is not None or "_chain" in vars(self):
-            return self.is_transitive() and self.order == n
-        out = [tuple(range(n))]
-        seen = set(out)
-        gathers = [itemgetter(*g.images) for g in self.generators]
-        for x in out:
-            for gather in gathers:
-                y = gather(x)
-                if y not in seen:
-                    if len(out) == n:
-                        return False
-                    seen.add(y)
-                    out.append(y)
-        regular = len(out) == n == len({x[0] for x in out})
-        if regular and self.generators:
-            self._chain = _Chain(n, [0], self.generators)
-        return regular
+        """Transitive of order n; before a chain is built, a group with
+        generators is listed by `_regular_chain` instead."""
+        if self._base is None and "_chain" not in vars(self) \
+                and self.generators:
+            return self._regular_chain() is not None
+        return self.is_transitive() and self.order == self.degree
 
     def transitivity_profile(self):
         semi = self.is_semiregular()

@@ -242,6 +242,32 @@ class TestClassifyAndTower:
         assert res["m_step"] and res["normal"]
         assert res["index_sequence"] == [2, 2, 3]
 
+    def test_verify_tower_builds_chains_for_nontrivial_systems_only(
+            self, monkeypatch):
+        # the singletons are always normal, and one block is normal iff G
+        # is transitive: only the two middle systems of the Z12 tower need
+        # a chain of G on its points and blocks
+        builds = []
+        build = perm._Chain.schreier_sims
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(perm._Chain, "schreier_sims", counted)
+        t = [BlockSystem.singletons(12),
+             BlockSystem(12, [[i, i + 6] for i in range(6)]),
+             BlockSystem(12, [[i, i + 3, i + 6, i + 9] for i in range(3)]),
+             BlockSystem.one_block(12)]
+        assert verify_tower(cyc(12), t)["normal"]
+        assert len(builds) == 2
+        H = PermGroup(4, [Permutation([1, 0, 2, 3])])
+        assert classify_block_system(H, BlockSystem.singletons(4)) \
+            == {"is_block_system": True, "is_normal": True}
+        assert classify_block_system(H, BlockSystem.one_block(4)) \
+            == {"is_block_system": True, "is_normal": False}
+        assert len(builds) == 2
+
     def test_degree_mismatch(self):
         S4 = PermGroup.symmetric(4)
         larger = BlockSystem(6, [[0, 1], [2, 3], [4, 5]])

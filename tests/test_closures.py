@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from operator import itemgetter
 from unittest import mock
 
@@ -391,6 +392,32 @@ def test_closure_generators_are_pinned():
         == "6e7656fc2ba9bb0a43242ba9022cede1c9a076f65e5436b90ecc947684645dfe"
 
 
+def test_k3_coloring_holds_one_copy_of_the_table():
+    # the rows are kept as built, not joined into a second, flat table:
+    # joining them made the peak 2.2 times the table
+    G = regular(GroupSpec.cyclic(64))
+    tracemalloc.start()
+    try:
+        S = orbit_coloring(G, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(S.rows) == 64
+    assert peak <= 1.5 * kept
+
+
+def test_k3_closure_at_128_points(monkeypatch):
+    # twice the k = 3 budget, lifted here only
+    monkeypatch.setitem(DEGREE_BUDGET, 3, 128)
+    G = regular(GroupSpec.cyclic(128))
+    S = orbit_coloring(G, 3)
+    assert len(S.rows) == 128
+    assert all(len(row) == 128 ** 2 for row in S.rows)
+    C = automorphisms(S)
+    assert C.order == 128
+    assert all(C.contains(g) for g in G.generators)
+
+
 def no_schreier_sims(*args):
     raise AssertionError("Schreier-Sims ran")
 
@@ -431,34 +458,38 @@ def test_orbit_labels_build_one_code_table_per_generator(monkeypatch):
     assert 1 <= len(calls) <= len(G.generators)
 
 
-class CountingColors(tuple):
-    """A color table that counts its lookups."""
+class CountingRows(tuple):
+    """A row container that counts its lookups: one per row fetched or
+    sliced, and one per column read across the rows."""
     lookups = 0
 
     def __getitem__(self, i):
-        CountingColors.lookups += 1
+        CountingRows.lookups += 1
         return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        CountingRows.lookups += 1
+        return tuple.__iter__(self)
 
 
 def test_level_scans_take_candidates_from_buckets(monkeypatch):
     # on regular Z252 at k = 2 every level above 0 has one candidate left,
-    # the point itself; a slice counts as one lookup, and scanning the
-    # whole diagonal class instead cost 64,255 lookups in all, while the
-    # buckets need 1,509
+    # the point itself; scanning the whole diagonal class instead cost
+    # 126,008 lookups in all, while the buckets need 760
     S = orbit_coloring(regular(GroupSpec.cyclic(252)), 2)
-    S.colors = CountingColors(S.colors)
-    monkeypatch.setattr(CountingColors, "lookups", 0)
+    S.rows = CountingRows(S.rows)
+    monkeypatch.setattr(CountingRows, "lookups", 0)
     assert automorphisms(S).order == 252
-    assert CountingColors.lookups < 5_000
+    assert CountingRows.lookups < 5_000
 
 
 def test_forced_completions_check_each_map_once(monkeypatch):
     # on regular Z64 at k = 3 bucket(f(0)) holds one point per color, so
-    # every completion is forced: one code table and about 2n row slices
-    # per map checked.  The search takes 196 lookups in all; checked step
-    # by step, the same completion cost 12,730
+    # every completion is forced: one code table and about 2n row
+    # lookups per map checked.  The search takes 196 lookups in all;
+    # checked step by step, the same completion cost 4,666
     S = orbit_coloring(regular(GroupSpec.cyclic(64)), 3)
-    S.colors = CountingColors(S.colors)
+    S.rows = CountingRows(S.rows)
     calls = []
 
     def counting(digit, radix, k):
@@ -466,11 +497,11 @@ def test_forced_completions_check_each_map_once(monkeypatch):
         return _tuple_codes(digit, radix, k)
 
     monkeypatch.setattr(closures, "_tuple_codes", counting)
-    monkeypatch.setattr(CountingColors, "lookups", 0)
+    monkeypatch.setattr(CountingRows, "lookups", 0)
     A = automorphisms(S)
     assert A.order == 64
     assert 1 <= len(calls) <= len(A.generators)
-    assert CountingColors.lookups <= 4 * S.degree * len(calls)
+    assert CountingRows.lookups <= 4 * S.degree * len(calls)
 
 
 @pytest.mark.parametrize("spec,k", [

@@ -474,3 +474,23 @@ def test_first_order_read_builds_one_chain(monkeypatch):
     assert G.order == 441 and len(builds) == 1
     assert G.order == 441 and G.contains(G.generators[0])
     assert len(G.elements()) == 441 and len(builds) == 1
+
+
+def test_regular_groups_take_their_chain_from_a_listing(monkeypatch):
+    # a regular group is listed, up to n + 1 elements, and takes the chain
+    # on the base [0] with its generators as the strong set: the one
+    # Schreier-Sims builds, which never runs
+    groups = [regular_representation(spec, side).group
+              for spec in (GroupSpec.dihedral(16), GroupSpec.dicyclic(5),
+                           GroupSpec.frobenius(7, 3))
+              for side in ("left", "right")]
+    expected = [chain_key(_Chain.schreier_sims(G.degree, G.generators))
+                for G in groups]
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("Schreier-Sims ran")
+
+    monkeypatch.setattr(_Chain, "schreier_sims", no_chain)
+    assert groups[0].order == 32
+    assert [chain_key(G._chain) for G in groups] == expected
+    assert all(G.is_regular() for G in groups)
