@@ -21,9 +21,9 @@ from .closures import check_budget, is_k_closed
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _Chain, _is_power_of, _is_prime,
                    _unchecked, orbit, prime_factors, sylow_subgroup)
-from .zoo import (_by_order, _table_profile, cayley_table, group_in_family_R,
-                  inner_holomorph, isomorphic_groups, isomorphism_test,
-                  regular_representation)
+from .zoo import (MAX_SPEC_ORDER, _by_order, _table_profile, cayley_table,
+                  group_in_family_R, inner_holomorph, isomorphic_groups,
+                  isomorphism_test, regular_representation)
 
 
 class CiVerdict:
@@ -497,16 +497,6 @@ def _two_group_tail(R, T, ambient, transcript):
     raise RuntimeError("no conjugate of T inside the chosen Sylow")
 
 
-def _conjugate_pair(R, T, c, ambient):
-    """T's generators conjugated by c, and <R, T^c> on R's generators and
-    those; ambient is <R, T>, which is <R, T^c> when c is the identity."""
-    if c.is_identity():
-        return list(T.generators), ambient
-    cinv = c.inverse()
-    gens = [cinv * g * c for g in T.generators]
-    return gens, PermGroup(R.degree, list(R.generators) + gens)
-
-
 def _descend(R, T, ambient, transcript):
     """Recursive tower construction; ambient is <R, T>.
 
@@ -520,12 +510,12 @@ def _descend(R, T, ambient, transcript):
     quotient pair descends, and its conjugator lifts back into joint.
 
     Returns (conjugator c, proper nontrivial systems of <R, T^c>
-    ascending, exceptional tag or None, <R, T^c> when already built or
-    None), or four Nones when the fallback finds no system.
+    ascending, exceptional tag or None), or three Nones when the fallback
+    finds no system.
     """
     n = R.degree
     if n == 1 or _is_prime(n):  # no proper nontrivial system
-        return Permutation.identity(n), [], None, ambient
+        return Permutation.identity(n), [], None
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
     tag = None
     if not odd:
@@ -539,9 +529,11 @@ def _descend(R, T, ambient, transcript):
             transcript.append({"event": "alignment_failed", "prime": odd[0]})
             base, tag = _exceptional_descent(ambient, transcript)
             if base is None:
-                return None, None, None, None
+                return None, None, None
             delta = Permutation.identity(n)
-    Tgens, joint = _conjugate_pair(R, T, delta, ambient)
+    Td = T.conjugate(delta)
+    joint = ambient if delta.is_identity() \
+        else PermGroup(n, R.generators + Td.generators)
     if not odd:
         # a 2-group has a central involution; central in a transitive
         # group, it fixes no point, so its cycles are the orbits of <z>
@@ -550,17 +542,16 @@ def _descend(R, T, ambient, transcript):
         base = BlockSystem(n, z.cycles())
     act = action_on_blocks(joint, base)
     RB = PermGroup(len(base), [act.image(g) for g in R.generators])
-    TB = PermGroup(len(base), [act.image(g) for g in Tgens])
+    TB = PermGroup(len(base), [act.image(g) for g in Td.generators])
     # act.group has RB's and TB's generators: it is <RB, TB>
-    cq, subtower, subtag, _ = _descend(RB, TB, act.group, transcript)
+    cq, subtower, subtag = _descend(RB, TB, act.group, transcript)
     if cq is None:
-        return None, None, None, None
+        return None, None, None
     lift = act.preimage(cq)
     if lift is None:
         raise RuntimeError("quotient conjugator has no preimage")
     tower = [base] + [pullback_system(s, base) for s in subtower]
-    return (delta * lift, tower, tag or subtag,
-            joint if lift.is_identity() else None)
+    return delta * lift, tower, tag or subtag
 
 
 def _exceptional_descent(joint, transcript):
@@ -588,8 +579,12 @@ def block_tower_search(R, T):
     central involution once T shares a Sylow 2-subgroup with R, then
     recurses on the action on the blocks.  The tower is checked on
     <R, T^g>, and its ratio sequence matched against the admissible
-    patterns for this order.
+    patterns for this order.  A pair of degree over MAX_SPEC_ORDER is
+    refused with CapExceededError before either group is listed.
     """
+    degree = max(R.degree, T.degree)
+    if degree > MAX_SPEC_ORDER:
+        raise CapExceededError(f"degree {degree} exceeds cap {MAX_SPEC_ORDER}")
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_regular():
             raise ValueError(f"{name} must be regular")
@@ -598,16 +593,15 @@ def block_tower_search(R, T):
         raise ValueError("R is outside the supported family")
     ambient = _joint(R, T)
     transcript = []
-    c, tower, tag, joint = _descend(R, T, ambient, transcript)
+    c, tower, tag = _descend(R, T, ambient, transcript)
     if c is None:
         return {"status": "failure", "transcript": transcript}
     n = R.degree
     full = [BlockSystem.singletons(n)] + tower
     if n > 1:  # on one point the singletons are already the one block
         full.append(BlockSystem.one_block(n))
-    if joint is None:
-        joint = _conjugate_pair(R, T, c, ambient)[1]
-    check = verify_tower(joint, full)
+    check = verify_tower(
+        PermGroup(n, R.generators + T.conjugate(c).generators), full)
     if not (check["m_step"] and check["normal"]):
         return {"status": "failure", "transcript": transcript,
                 "verify": check}

@@ -317,32 +317,37 @@ def automorphisms(S):
                    == pick(rows[b * split][b * first:b * first + lead])
                    for a, b in enumerate(f))
 
-    def complete(partial, used):
-        """Extend a consistent partial map over all points; None if stuck."""
-        x = len(partial)
-        if x == n:
-            return Permutation(partial)
-        by_color = bucket(partial[0])
+    def complete(f):
+        """Extend f, a consistent partial map, over all points in place: a
+        Permutation, or None if stuck.  A stack of candidate iterators, not
+        recursion, so no reference cycle outlives the call."""
+        by_color = bucket(f[0])
         if k > 1 and len(by_color) == n:  # one point per color: all forced
-            f = list(partial)
-            for c in itertools.islice(column(0), x, None):
+            for c in itertools.islice(column(0), len(f), None):
                 if c not in by_color:
                     return None
                 f += by_color[c]
             # f is one-to-one if it keeps colors: the tuples (y, f(0), ...,
             # f(0)) have n colors, and so then do (f(y), f(f(0)), ...)
             return Permutation(f) if keeps_colors(f) else None
-        for y in by_color.get(rows[x * split][x * first], ()):
-            if y in used or not consistent(partial, x, y):
-                continue
-            partial.append(y)
-            used.add(y)
-            result = complete(partial, used)
-            if result is not None:
-                return result
-            partial.pop()
-            used.remove(y)
-        return None
+        used, top = set(f), len(f)
+        stack = []  # stack[j]: the images of point top + j not yet tried
+        while len(f) < n:
+            x = len(f)
+            if len(stack) == x - top:  # x is new: its candidates
+                stack.append(
+                    iter(by_color.get(rows[x * split][x * first], ())))
+            for y in stack[-1]:
+                if y not in used and consistent(f, x, y):
+                    f.append(y)
+                    used.add(y)
+                    break
+            else:
+                stack.pop()
+                if not stack:
+                    return None
+                used.remove(f.pop())
+        return Permutation(f)
 
     gens = []
     base = []
@@ -355,8 +360,7 @@ def automorphisms(S):
         for y in bucket(0)[rows[i * split][i * first]] if i else range(n):
             if y in orb or y <= i or not consistent(range(i), i, y):
                 continue
-            partial = [*range(i), y]
-            g = complete(partial, set(partial))
+            g = complete([*range(i), y])
             if g is not None:
                 gens.append(g)
                 orb = point_orbit(i)

@@ -333,7 +333,7 @@ class TestTower:
                                                   monkeypatch):
         def stuck(R, T, ambient, transcript):
             transcript.append({"event": "alignment_failed", "prime": 3})
-            return None, None, None, None
+            return None, None, None
 
         monkeypatch.setattr(ci, "_descend", stuck)
         p = write_group_file(tmp_path, "z12.json", GroupSpec.cyclic(12))
@@ -373,6 +373,20 @@ class TestTower:
         for pair in ((p12, p60), (p60, p12)):
             code, payload = usage_error(capsys, "tower", *pair)
             assert code == 2 and list(payload) == ["error"]
+
+    def test_degree_over_the_spec_cap_lists_nothing(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # 2049 = 3 * 683, so the cyclic group is in family R; listing it
+        # and its Cayley tables grows faster than n^2, so the pair is
+        # refused before either group is listed
+        n = 2049
+        path = tmp_path / "z2049.json"
+        path.write_text(json.dumps({"degree": n,
+                                    "generators": [[*range(1, n), 0]]}))
+        monkeypatch.setattr(PermGroup, "_regular_chain", no_chain)
+        code, payload = usage_error(capsys, "tower", str(path), str(path))
+        assert code == 3 and list(payload) == ["error"]
+        assert "2048" in payload["error"]
 
     def test_group_without_degree_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nodegree.json"

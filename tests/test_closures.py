@@ -406,6 +406,27 @@ def test_k3_coloring_holds_one_copy_of_the_table():
     assert peak <= 1.5 * kept
 
 
+@pytest.mark.parametrize("n, k", [(64, 3), (252, 2)])
+def test_closure_leaves_nothing_for_the_collector(n, k):
+    # at the degree budgets: a search closure that calls itself would be a
+    # reference cycle, keeping the color table, the buckets and the search
+    # state alive after the closure returns, until a full collection
+    G = regular(GroupSpec.cyclic(n))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        C = k_closure(G, k)
+        kept = tracemalloc.get_traced_memory()[0]
+        garbage = gc.collect()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert garbage == 0
+    assert kept <= 0.25 * 2 ** 20
+    assert C.order == n
+
+
 def test_k3_closure_at_128_points(monkeypatch):
     # twice the k = 3 budget, lifted here only
     monkeypatch.setitem(DEGREE_BUDGET, 3, 128)

@@ -3,8 +3,9 @@ no unused import, one import statement per imported module, imports
 from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
-and oracles that do not call the kernels they check.  A classmethod is
-reached only as `Owner.name`, or as `cls.name` inside its own class."""
+oracles that do not call the kernels they check, and no nested function
+that reads its own name.  A classmethod is reached only as `Owner.name`,
+or as `cls.name` inside its own class."""
 
 import ast
 import os
@@ -180,3 +181,28 @@ def test_closure_oracles_do_not_use_the_kernels():
     for oracle in ("is_automorphism", "brute_force_automorphisms",
                    "_color_preserving"):
         assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
+
+
+def self_reading_nested_functions(tree):
+    """'outer.inner' for each function defined inside a function, outer
+    the innermost, whose body reads its own name."""
+    found = []
+    stack = [(node, None) for node in tree.body]
+    while stack:
+        node, outer = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if outer is not None and node.name in {
+                    sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name)}:
+                found.append(f"{outer.name}.{node.name}")
+            outer = node
+        stack.extend((child, outer) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_nested_function_reads_its_own_name():
+    # a nested function that calls itself holds its own cell, a reference
+    # cycle: it and everything its closure reaches outlive the call until
+    # a full garbage collection.  Searches keep an explicit stack instead
+    assert [f"{name}: {f}" for name in MODULES
+            for f in self_reading_nested_functions(parse(name))] == []
