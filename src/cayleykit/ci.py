@@ -169,7 +169,11 @@ def _base_image_search(A, R, T):
 def are_conjugate_subgroups(A, R, T, transcript=None):
     """Some c in A with R^c = T, or None after an exhaustive search.
 
-    For regular R and T, each isomorphism candidate is tried by its base
+    A normal R is conjugate only to itself, which A's generators show
+    with |gens A| * |gens R| membership tests; a transcript then gets one
+    entry naming that proof, which counts for regular R and T the
+    candidates it leaves untried as dropped.  Otherwise, for regular R
+    and T, each isomorphism candidate is tried by its base
     images (see _base_image_search) when there are at most |A| of them;
     otherwise a breadth-first search walks R's class under A's
     generators, keyed by element sets, one member per right coset of the
@@ -187,6 +191,15 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
         return None
     if R == T:
         return Permutation.identity(A.degree)
+    if all(R.contains(a.inverse() * g * a)
+           for a in A.generators for g in R.generators):
+        # R is normal in A, so its class is {R}, and T is not R
+        if transcript is not None:
+            entry = {"proof": "R is normal in A", "result": "no"}
+            if regular:  # the candidates the proof settles untried
+                entry["dropped"] = _base_image_search(A, R, T)[0]
+            transcript.append(entry)
+        return None
     count, attempts = _base_image_search(A, R, T) if regular else (None, None)
     if count is None or count > A.order:
         if A.order > BRUTE_FORCE_CAP:  # the class walk's work is <= |A|
@@ -358,7 +371,10 @@ def regular_subgroups(A, spec):
 
 def babai_check(A, spec):
     """One conjugacy class of regular copies means the structure behind A
-    is a CI-object for this group; two classes give a witness pair."""
+    is a CI-object for this group; two classes give a witness pair.  Both
+    readings hold only when A is the automorphism group of a structure,
+    that is, when A is k-closed for the arity k asked about: one class in
+    A proves nothing when A^(k) holds more, nor two when it holds fewer."""
     transcript = []
     reps = regular_subgroups(A, spec)
     transcript.append({"event": "regular_subgroup_classes", "count": len(reps)})

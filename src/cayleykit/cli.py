@@ -106,12 +106,18 @@ def cmd_ci_check(args):
         if degree != target.size:
             raise ValueError(f"fixture degree {degree} must "
                              f"equal the target order {target.size}")
+        check_budget(degree, 3)
         A = PermGroup(degree, gens)
     else:
-        A = inner_holomorph(parse_spec(args.spec))
-    verdict = babai_check(A, target)
-    _emit({"ambient_order": A.order, "target": target.to_json(),
-           "verdict": verdict.to_json()}, args.out)
+        spec = parse_spec(args.spec)
+        check_budget(spec.size, 3)
+        A = inner_holomorph(spec)
+    # Babai's lemma needs a closed ambient, so the verdict is read in A^(3)
+    C = k_closure(A, 3)
+    verdict = babai_check(C, target)
+    _emit({"ambient_order": A.order, "closure_order": C.order,
+           "target": target.to_json(), "verdict": verdict.to_json()},
+          args.out)
     return EXIT_PASS if verdict.status != "not_ci_witness" else EXIT_FAIL
 
 

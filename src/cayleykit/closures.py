@@ -166,7 +166,8 @@ def _orbit_labels(gens, n, k):
                 stab.add(via(by[j](inv[y])))
         stab.discard(identity)
         sub, = _orbit_labels(list(stab), n, k - 1)
-        rows[r] = tuple([count + c for c in sub])
+        # the first orbit's labels are sub's own, so no second copy
+        rows[r] = tuple([count + c for c in sub]) if count else sub
         count += max(sub) + 1
         for y in reach[1:]:
             x, j = parent[y]
@@ -199,7 +200,7 @@ def is_automorphism(S, p):
                for t, c in zip(map(sum, itertools.product(*digits)), colors))
 
 
-def automorphisms(S):
+def automorphisms(S, known=()):
     """The full automorphism group of a colored structure.
 
     Strong generators are found base point by base point: for each level i
@@ -242,6 +243,13 @@ def automorphisms(S):
     0..i-1 and moves i, and the orbit of i is complete when the search
     leaves level i.  The generators are thus a strong generating set for
     the ascending levels that found one: the chain is built on that base.
+
+    `known` holds automorphisms of S already in hand, trusted as the
+    search trusts its own finds.  Each joins the generators at the level of
+    its least moved point, whose stabilizer holds it, before that level's
+    orbit is taken; the search then tries only the images they miss.  Each
+    level still ends with the orbit of its stabilizer, so the argument
+    above is unchanged.
     """
     n, k = S.degree, S.arity
     check_budget(n, k)
@@ -351,11 +359,16 @@ def automorphisms(S):
 
     gens = []
     base = []
+    placed = {}  # placed[i]: the known automorphisms moving i, fixing 0..i-1
+    for g in known:
+        least = next((x for x in range(n) if g(x) != x), n)
+        placed.setdefault(least, []).append(g)
 
     def point_orbit(x):
         return set(orbit(x, gens, lambda y, g: g(y)))
 
     for i in range(n - 1, -1, -1):
+        gens += placed.get(i, ())
         orb = point_orbit(i)
         for y in bucket(0)[rows[i * split][i * first]] if i else range(n):
             if y in orb or y <= i or not consistent(range(i), i, y):
@@ -370,8 +383,10 @@ def automorphisms(S):
 
 
 def k_closure(G, k):
-    """The largest group with G's orbits on ordered k-tuples."""
-    return automorphisms(orbit_coloring(G, k))
+    """The largest group with G's orbits on ordered k-tuples.  It holds G
+    (Wielandt), so G's generators seed the search, which then looks only
+    for what G lacks; no chain of G is built."""
+    return automorphisms(orbit_coloring(G, k), G.generators)
 
 
 def is_k_closed(G, k):

@@ -82,6 +82,27 @@ class TestConjugacy:
         assert are_conjugate_subgroups(A, L, R, transcript=transcript) is None
         assert transcript  # the tried representatives are logged
 
+    def test_normal_r_needs_no_search(self, monkeypatch):
+        # the left copy is normal in the inner holomorph: A's generators
+        # normalize it, so it is conjugate only to itself, and no candidate
+        # of the base-image route (10,836 on D_129) is tried
+        spec = GroupSpec.dihedral(129)
+        A = inner_holomorph(spec)
+        L = regular_representation(spec, "left").group
+        R = regular_representation(spec, "right").group
+        transcript = []
+        assert are_conjugate_subgroups(A, L, R, transcript=transcript) \
+            is None
+        assert transcript == [{"proof": "R is normal in A", "result": "no",
+                               "dropped": 10836}]
+
+        def no_search(*args):
+            raise AssertionError("a candidate search ran")
+
+        monkeypatch.setattr(ci, "_base_image_search", no_search)
+        monkeypatch.setattr(ci, "_class_walk", no_search)
+        assert are_conjugate_subgroups(A, L, R) is None
+
     def test_transcript_is_bounded(self):
         # a double and a triple transposition: 105 cosets of the first's
         # normalizer in S7, none of them a conjugator

@@ -232,18 +232,19 @@ class TestClosure:
 
     @pytest.mark.parametrize("argv,digest", [
         (["--fixture", "m12.json", "--k", "2"],
-         "ca3b77e1752a9de3052eecbff90990abdb48a56c6860bd61b6c88528a2534814"),
+         "293d797b024363119b66768c078b12e9a8d573cc6797166ac8f174bbb2b26028"),
         (["--fixture", "m12.json", "--k", "3"],
-         "b49fdc5d748eb6867a131d56e3dfbea5c5ca791555fe5de2c2140ddc3e7cfecf"),
+         "9cecef5d26f90c16fa51f524b98e1b557eeaa98ced75c034af3159dd810f92d1"),
         (["--spec", "dihedral(12)", "--k", "3"],
          "533629881aeeac89b63ba20b3cd08e0686255af7c3369ad4b3770e7a09910975"),
         (["--spec", "frobenius(7,3)", "--k", "2"],
          "5f1961f1192df1612f9e589ca772ab790775c934677ea896cdfa6f1f9fb469ea"),
     ], ids=["m12-k2", "m12-k3", "dihedral12-k3", "frobenius7_3-k2"])
     def test_output_is_pinned(self, capsys, monkeypatch, argv, digest):
-        # the closure's generators come from the automorphism search, so
-        # the whole output pins its search order; the fixture is named
-        # relative to its own directory, which the output echoes
+        # the closure's generators are the input's and then those the
+        # automorphism search adds, so the whole output pins its search
+        # order; the fixture is named relative to its own directory, which
+        # the output echoes
         monkeypatch.chdir(os.path.dirname(M12))
         assert main(["closure"] + argv) == 0
         out = capsys.readouterr().out
@@ -277,6 +278,28 @@ class TestCiCheck:
         assert code == 1
         assert payload["verdict"]["status"] == "not_ci_witness"
         assert payload["verdict"]["classes"] == 2
+
+    def test_verdict_is_read_in_the_3_closure(self, capsys):
+        # Q8's inner holomorph, of order 32, holds two classes of regular
+        # Q8 copies, but it is not 3-closed; its 3-closure, of order 64,
+        # holds one, so the ambient as given would show a false witness
+        code, payload = run(capsys, "ci-check", "--spec", "q8",
+                            "--target-spec", "q8")
+        assert code == 0
+        assert payload["ambient_order"] == 32
+        assert payload["closure_order"] == 64
+        assert payload["verdict"]["status"] == "ci_for_this_structure"
+        assert payload["verdict"]["classes"] == 1
+
+    def test_degree_over_the_3_budget_exits_3(self, capsys, tmp_path,
+                                               monkeypatch):
+        # the 3-closure of S_65 is refused before any chain or table
+        path = symmetric_file(tmp_path, 65)
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        for argv in (["--fixture", path], ["--spec", "cyclic(65)"]):
+            code, payload = usage_error(capsys, "ci-check", *argv,
+                                        "--target-spec", "cyclic(65)")
+            assert code == 3 and list(payload) == ["error"]
 
     def test_no_regular_copy_passes(self, capsys, tmp_path):
         # S2 on 4 points is not even transitive

@@ -406,6 +406,21 @@ def test_k3_coloring_holds_one_copy_of_the_table():
     assert peak <= 1.5 * kept
 
 
+def test_k3_coloring_keeps_one_copy_of_the_first_orbits_labels():
+    # a transitive group's first orbit starts the count at 0, so its row
+    # is the stabilizer's labels as they are; adding 0 to each made a
+    # second tuple of n^2 new ints, and a peak of 1.18 times the table
+    G = regular(GroupSpec.cyclic(64))
+    tracemalloc.start()
+    try:
+        S = orbit_coloring(G, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(S.rows) == 64
+    assert peak <= 1.12 * kept
+
+
 @pytest.mark.parametrize("n, k", [(64, 3), (252, 2)])
 def test_closure_leaves_nothing_for_the_collector(n, k):
     # at the degree budgets: a search closure that calls itself would be a
@@ -544,6 +559,50 @@ def test_forced_completions_reject_a_fresh_color(spec, k, row):
     assert found_generators(automorphisms, T) \
         == found_generators(reference_automorphisms, T)
     assert automorphisms(T).order == brute_force_automorphisms(T).order
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_sets(9), st.booleans(), st.sampled_from((1, 2, 3)))
+def test_seeded_closure_is_the_unseeded_one(group, transitive, k):
+    # k_closure seeds the search with G's generators; it must find the
+    # group the unseeded search finds, and its generators must be strong
+    # on the base it returns, as Schreier-Sims on them confirms
+    n, gens = group
+    if n and transitive:
+        gens = gens + [n_cycle(n)]
+    G = PermGroup(n, gens)
+    C = k_closure(G, k)
+    U = automorphisms(orbit_coloring(G, k))
+    assert C.order == U.order == PermGroup(n, C.generators).order
+    assert all(U.contains(g) for g in C.generators)
+    assert all(C.contains(g) for g in U.generators)
+    assert all(C.contains(g) for g in G.generators)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec.cyclic(12), GroupSpec.dihedral(6), GroupSpec.dicyclic(5),
+    GroupSpec.q8(), GroupSpec.elementary_abelian_2(3),
+    GroupSpec.frobenius(7, 3)], ids=repr)
+@pytest.mark.parametrize("k", [2, 3])
+def test_regular_closures_run_no_completion(monkeypatch, spec, k):
+    # a regular group is 2-closed, so k-closed for k >= 2: its own
+    # generators fill every level's orbit and the search adds nothing.  Its
+    # colorings force every completion, and a forced completion gathers
+    # one code table; unseeded, the search makes at least one
+    G = regular(spec)
+    assert k_closure(G, k).generators == G.generators
+    S = orbit_coloring(G, k)
+    calls = []
+
+    def counting(digit, radix, k):
+        calls.append(k)
+        return _tuple_codes(digit, radix, k)
+
+    monkeypatch.setattr(closures, "_tuple_codes", counting)
+    assert automorphisms(S, G.generators).order == G.degree
+    assert calls == []
+    assert automorphisms(S).order == G.degree
+    assert calls
 
 
 class TestAutomorphisms:
