@@ -101,17 +101,17 @@ def cmd_closure(args):
 
 def cmd_ci_check(args):
     target = parse_spec(args.target_spec)
+    spec = None
     if args.fixture is not None:
         degree, gens = _read_group(args.fixture)
-        if degree != target.size:
-            raise ValueError(f"fixture degree {degree} must "
-                             f"equal the target order {target.size}")
-        check_budget(degree, 3)
-        A = PermGroup(degree, gens)
     else:
         spec = parse_spec(args.spec)
-        check_budget(spec.size, 3)
-        A = inner_holomorph(spec)
+        degree = spec.size
+    if degree != target.size:
+        raise ValueError(f"ambient degree {degree} must "
+                         f"equal the target order {target.size}")
+    check_budget(degree, 3)
+    A = PermGroup(degree, gens) if spec is None else inner_holomorph(spec)
     # Babai's lemma needs a closed ambient, so the verdict is read in A^(3)
     C = k_closure(A, 3)
     verdict = babai_check(C, target)

@@ -230,15 +230,6 @@ def automorphisms(S, known=()):
     of length x+1, and its image is one itemgetter pick at f(0), ..., f(x)
     from the image slice of length n: no per-tuple Python work.
 
-    When bucket(f(0)) holds one point per color, every later image is
-    forced, so `complete` builds the rest of f in one pass and checks all
-    of f once: row f(a) of the table, gathered through the
-    codes of f on (k-1)-tuples, must equal row a, for every a.  The step
-    checks together cover every tuple, so this accepts and rejects exactly
-    the maps the step-by-step search does, in the same order.  At k = 1 a
-    bucket with one point per color gives every point its own color, so no
-    level has a candidate and the forced path is never needed.
-
     Levels run from n-1 down to 0, so a generator found at level i fixes
     0..i-1 and moves i, and the orbit of i is complete when the search
     leaves level i.  The generators are thus a strong generating set for
@@ -275,16 +266,14 @@ def automorphisms(S, known=()):
               for step in rest[-1:]]
     buckets = {}
 
-    def column(off):
-        """The color at y * first + off in the row of y, for every y."""
-        if split:
-            return map(itemgetter(off), rows)
-        return rows[0][off::lead]
-
     def bucket(b):
         if b not in buckets:
             row = buckets[b] = {}
-            for y, c in enumerate(column(b * home)):
+            # the color of (y, b, ..., b) is at y * first + off in row y
+            off = b * home
+            column = (map(itemgetter(off), rows) if split
+                      else rows[0][off::lead])
+            for y, c in enumerate(column):
                 row.setdefault(c, []).append(y)
         return buckets[b]
 
@@ -316,28 +305,11 @@ def automorphisms(S, known=()):
                     return False
         return True
 
-    def keeps_colors(f):
-        """True iff the map f (a list of images), at k >= 2, keeps every
-        tuple's color; stops at the first row that differs.  At k = 3 each
-        slice is a whole row, which for a tuple is the row, not a copy."""
-        pick = itemgetter(*_tuple_codes(f, n, k - 1))
-        return all(rows[a * split][a * first:a * first + lead]
-                   == pick(rows[b * split][b * first:b * first + lead])
-                   for a, b in enumerate(f))
-
     def complete(f):
         """Extend f, a consistent partial map, over all points in place: a
         Permutation, or None if stuck.  A stack of candidate iterators, not
         recursion, so no reference cycle outlives the call."""
         by_color = bucket(f[0])
-        if k > 1 and len(by_color) == n:  # one point per color: all forced
-            for c in itertools.islice(column(0), len(f), None):
-                if c not in by_color:
-                    return None
-                f += by_color[c]
-            # f is one-to-one if it keeps colors: the tuples (y, f(0), ...,
-            # f(0)) have n colors, and so then do (f(y), f(f(0)), ...)
-            return Permutation(f) if keeps_colors(f) else None
         used, top = set(f), len(f)
         stack = []  # stack[j]: the images of point top + j not yet tried
         while len(f) < n:

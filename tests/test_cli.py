@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cayleykit import ci, perm
+from cayleykit import ci, cli, perm
 from cayleykit.cli import main, parse_spec
 from cayleykit.perm import PermGroup, parse_group_json
 from cayleykit.zoo import SPEC_PARAMS, GroupSpec
@@ -320,6 +320,21 @@ class TestCiCheck:
         code, payload = usage_error(capsys, "ci-check", "--fixture", path,
                                     "--target-spec", "cyclic(4)")
         assert code == 2 and list(payload) == ["error"]
+
+    def test_spec_of_wrong_degree_takes_no_closure(self, capsys,
+                                                   monkeypatch):
+        # dihedral(32)'s inner holomorph acts on 64 points, not on the 5
+        # of the target: refused before any closure, as a fixture is
+        def no_closure(G, k):
+            raise AssertionError("a closure was taken")
+
+        monkeypatch.setattr(cli, "k_closure", no_closure)
+        code, payload = usage_error(capsys, "ci-check", "--spec",
+                                    "dihedral(32)", "--target-spec",
+                                    "cyclic(5)")
+        assert code == 2
+        assert payload == {"error": "ambient degree 64 must equal the "
+                                    "target order 5"}
 
     def test_fixture_without_generators_is_usage_error(self, capsys,
                                                         tmp_path):

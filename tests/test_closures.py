@@ -519,38 +519,19 @@ def test_level_scans_take_candidates_from_buckets(monkeypatch):
     assert CountingRows.lookups < 5_000
 
 
-def test_forced_completions_check_each_map_once(monkeypatch):
-    # on regular Z64 at k = 3 bucket(f(0)) holds one point per color, so
-    # every completion is forced: one code table and about 2n row
-    # lookups per map checked.  The search takes 196 lookups in all;
-    # checked step by step, the same completion cost 4,666
-    S = orbit_coloring(regular(GroupSpec.cyclic(64)), 3)
-    S.rows = CountingRows(S.rows)
-    calls = []
-
-    def counting(digit, radix, k):
-        calls.append(k)
-        return _tuple_codes(digit, radix, k)
-
-    monkeypatch.setattr(closures, "_tuple_codes", counting)
-    monkeypatch.setattr(CountingRows, "lookups", 0)
-    A = automorphisms(S)
-    assert A.order == 64
-    assert 1 <= len(calls) <= len(A.generators)
-    assert CountingRows.lookups <= 4 * S.degree * len(calls)
-
-
 @pytest.mark.parametrize("spec,k", [
     (GroupSpec.cyclic(7), 2), (GroupSpec.cyclic(7), 3),
     (GroupSpec.dihedral(3), 2), (GroupSpec.dihedral(3), 3)],
     ids=lambda v: str(v))
 @pytest.mark.parametrize("row", ["first", "last"])
 def test_forced_completions_reject_a_fresh_color(spec, k, row):
-    # a fresh color in row 0 fails every forced map at its first row; one
-    # in the last row lets most of them pass their first rows.  Neither
-    # tuple is one of the (x, 0, ..., 0) that the forced images are read
-    # from, so only the row check can reject the map.  The search must
-    # still agree with the step-by-step reference and with brute force
+    # on a regular coloring each point has one candidate image, so every
+    # completion is forced.  A fresh color in row 0 is met by the first
+    # point's checks, one in the last row only by the last point's.
+    # Neither tuple is one of the (x, 0, ..., 0) that the candidates are
+    # read from, so only the row checks of `consistent` can reject a map.
+    # The search must agree with the step-by-step reference and with
+    # brute force
     S = orbit_coloring(regular(spec), k)
     t = (0 if row == "first" else S.degree - 1, 1, 2)[:k]
     colors = list(S.colors)
@@ -579,29 +560,33 @@ def test_seeded_closure_is_the_unseeded_one(group, transitive, k):
     assert all(C.contains(g) for g in G.generators)
 
 
-@pytest.mark.parametrize("spec", [
-    GroupSpec.cyclic(12), GroupSpec.dihedral(6), GroupSpec.dicyclic(5),
-    GroupSpec.q8(), GroupSpec.elementary_abelian_2(3),
-    GroupSpec.frobenius(7, 3)], ids=repr)
+@pytest.mark.parametrize("G", [
+    pytest.param(regular(spec), id=repr(spec))
+    for spec in (GroupSpec.cyclic(12), GroupSpec.dihedral(6),
+                 GroupSpec.dicyclic(5), GroupSpec.q8(),
+                 GroupSpec.elementary_abelian_2(3), GroupSpec.frobenius(7, 3))
+] + [pytest.param(PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])]),
+                  id="semiregular-(012)(345)")])
 @pytest.mark.parametrize("k", [2, 3])
-def test_regular_closures_run_no_completion(monkeypatch, spec, k):
-    # a regular group is 2-closed, so k-closed for k >= 2: its own
-    # generators fill every level's orbit and the search adds nothing.  Its
-    # colorings force every completion, and a forced completion gathers
-    # one code table; unseeded, the search makes at least one
-    G = regular(spec)
+def test_regular_closures_run_no_completion(monkeypatch, G, k):
+    # a semiregular group is 2-closed, so k-closed for k >= 2: its own
+    # generators fill every level's orbit and the search adds nothing.
+    # Its point stabilizers are trivial, so each point has one candidate
+    # image and every completion the search starts succeeds: a count of
+    # the Permutations it builds counts its completions.  Unseeded, the
+    # search makes at least one
     assert k_closure(G, k).generators == G.generators
     S = orbit_coloring(G, k)
     calls = []
 
-    def counting(digit, radix, k):
-        calls.append(k)
-        return _tuple_codes(digit, radix, k)
+    def counting(images):
+        calls.append(len(images))
+        return Permutation(images)
 
-    monkeypatch.setattr(closures, "_tuple_codes", counting)
-    assert automorphisms(S, G.generators).order == G.degree
+    monkeypatch.setattr(closures, "Permutation", counting)
+    assert automorphisms(S, G.generators).order == G.order
     assert calls == []
-    assert automorphisms(S).order == G.degree
+    assert automorphisms(S).order == G.order
     assert calls
 
 

@@ -3,9 +3,10 @@ no unused import, one import statement per imported module, imports
 from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
-oracles that do not call the kernels they check, and no nested function
-that reads its own name.  A classmethod is reached only as `Owner.name`,
-or as `cls.name` inside its own class."""
+oracles that do not call the kernels they check, no nested function
+that reads its own name, and none that its outer function never reads.
+A classmethod is reached only as `Owner.name`, or as `cls.name` inside
+its own class."""
 
 import ast
 import os
@@ -175,7 +176,7 @@ def test_closure_oracles_do_not_use_the_kernels():
     inner = {node.name for node in ast.walk(defs["automorphisms"])
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     kernels = {"_orbit_labels", "_tuple_codes"} | inner - {"automorphisms"}
-    assert {"consistent", "complete", "keeps_colors"} <= kernels
+    assert {"consistent", "complete"} <= kernels
     assert "_color_preserving" in referenced(
         defs["brute_force_automorphisms"])
     for oracle in ("is_automorphism", "brute_force_automorphisms",
@@ -206,3 +207,32 @@ def test_no_nested_function_reads_its_own_name():
     # a full garbage collection.  Searches keep an explicit stack instead
     assert [f"{name}: {f}" for name in MODULES
             for f in self_reading_nested_functions(parse(name))] == []
+
+
+def unread_nested_functions(tree):
+    """'outer.inner' for each function defined inside a function, outer
+    the innermost, whose name outer never reads outside inner itself."""
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stack = list(ast.iter_child_nodes(outer))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = set(map(id, ast.walk(node)))
+                reads = {sub.id for sub in ast.walk(outer)
+                         if isinstance(sub, ast.Name)
+                         and id(sub) not in inside}
+                if node.name not in reads:
+                    found.append(f"{outer.name}.{node.name}")
+            elif not isinstance(node, ast.ClassDef):
+                stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_nested_function_is_read():
+    # a helper whose only caller was deleted is dead code that the
+    # module-level reference checks cannot see
+    assert [f"{name}: {f}" for name in MODULES
+            for f in unread_nested_functions(parse(name))] == []
