@@ -113,7 +113,8 @@ def _orbit_labels(gens, n, k):
     x, and (x, t) lies in the orbit of (r, u_x^-1 t).  So the tuples that
     start in O take a running count plus the labels of the (k-1)-tuples
     under the stabilizer of r, which Schreier's lemma generates by
-    u_sx^-1 s u_x; the count then grows by the number of those labels.
+    u_sx^-1 s u_x, the identity on an edge of the breadth-first tree, so
+    those are skipped; the count then grows by the number of those labels.
     Orbits are met in order of least points, every label of row r is new
     and, by induction, rises in order of first occurrence, and the rows of
     the other points of O reuse row r's labels: so the labels come out
@@ -158,12 +159,13 @@ def _orbit_labels(gens, n, k):
             via = itemgetter(*u[x])  # via(t) is t u_x
             for j, s in enumerate(gens):
                 y = s[x]
-                if y not in u:
+                if y not in u:  # a tree edge: u_y = s u_x
                     u[y] = via(s)
                     inv[y] = by_inverse[j](inv[x])
                     parent[y] = (x, j)
                     reach.append(y)
-                stab.add(via(by[j](inv[y])))
+                else:
+                    stab.add(via(by[j](inv[y])))
         stab.discard(identity)
         sub, = _orbit_labels(list(stab), n, k - 1)
         # the first orbit's labels are sub's own, so no second copy
@@ -357,7 +359,20 @@ def automorphisms(S, known=()):
 def k_closure(G, k):
     """The largest group with G's orbits on ordered k-tuples.  It holds G
     (Wielandt), so G's generators seed the search, which then looks only
-    for what G lacks; no chain of G is built."""
+    for what G lacks; no chain of G is built.
+
+    A regular group is 2-closed: (0, y) is the only pair of its G-orbit
+    that starts at 0, so the stabilizer of 0 in G^(2) fixes every y, and
+    |G^(2)| = n = |G|.  For k >= 2, G <= G^(k) <= G^(2) (Wielandt 1969),
+    so a regular G is its own k-closure, decided by one listing of G with
+    no color table and no search.  The group, generators and base are
+    those the seeded search returns: every seed moves 0, and the n pairs
+    (y, 0) have n colors, so no level past 0 has a candidate.
+    """
+    n = G.degree
+    check_budget(n, k)
+    if k >= 2 and G.is_nontrivial_regular():
+        return PermGroup(n, G.generators, base=[0])
     return automorphisms(orbit_coloring(G, k), G.generators)
 
 

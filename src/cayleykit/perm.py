@@ -347,10 +347,22 @@ class PermGroup:
     def _regular_chain(self):
         """If the group is regular and not trivial, its chain on the base
         [0] with the generators as the strong set, installed and returned;
-        else None.  The group is listed by right multiplication, up to
-        n + 1 elements.  That chain is its Schreier-Sims chain: every other
+        else None.  That chain is its Schreier-Sims chain: every other
         element moves 0, so no Schreier generator survives."""
+        if not self.is_nontrivial_regular():
+            return None
+        self._chain = _Chain(self.degree, [0], self.generators)
+        return self._chain
+
+    def is_nontrivial_regular(self):
+        """Regular and not trivial, so of degree at least 2.  A chain
+        already built answers; else the group is listed by right
+        multiplication, up to n + 1 elements, and no chain is built."""
         n = self.degree
+        if not self.generators:
+            return False
+        if "_chain" in vars(self):
+            return self.is_regular()
         out = [tuple(range(n))]
         seen = set(out)
         gathers = [itemgetter(*g.images) for g in self.generators]
@@ -359,13 +371,10 @@ class PermGroup:
                 y = gather(x)
                 if y not in seen:
                     if len(out) == n:
-                        return None
+                        return False
                     seen.add(y)
                     out.append(y)
-        if self.generators and len(out) == n == len({x[0] for x in out}):
-            self._chain = _Chain(n, [0], self.generators)
-            return self._chain
-        return None
+        return len(out) == n == len({x[0] for x in out})
 
     @cached_property
     def order(self):

@@ -421,17 +421,23 @@ def test_k3_coloring_keeps_one_copy_of_the_first_orbits_labels():
     assert peak <= 1.12 * kept
 
 
+@pytest.mark.parametrize("closure", [
+    pytest.param(lambda G, k: automorphisms(orbit_coloring(G, k),
+                                            G.generators), id="search"),
+    pytest.param(k_closure, id="k_closure")])
 @pytest.mark.parametrize("n, k", [(64, 3), (252, 2)])
-def test_closure_leaves_nothing_for_the_collector(n, k):
+def test_closure_leaves_nothing_for_the_collector(n, k, closure):
     # at the degree budgets: a search closure that calls itself would be a
     # reference cycle, keeping the color table, the buckets and the search
-    # state alive after the closure returns, until a full collection
+    # state alive after the closure returns, until a full collection.
+    # k_closure answers a regular input without the search, so the search
+    # is also called directly
     G = regular(GroupSpec.cyclic(n))
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        C = k_closure(G, k)
+        C = closure(G, k)
         kept = tracemalloc.get_traced_memory()[0]
         garbage = gc.collect()
     finally:
@@ -560,11 +566,25 @@ def test_seeded_closure_is_the_unseeded_one(group, transitive, k):
     assert all(C.contains(g) for g in G.generators)
 
 
-@pytest.mark.parametrize("G", [
-    pytest.param(regular(spec), id=repr(spec))
-    for spec in (GroupSpec.cyclic(12), GroupSpec.dihedral(6),
+REGULAR_SPECS = (GroupSpec.cyclic(12), GroupSpec.dihedral(6),
                  GroupSpec.dicyclic(5), GroupSpec.q8(),
                  GroupSpec.elementary_abelian_2(3), GroupSpec.frobenius(7, 3))
+
+
+def relabeled(G, seed):
+    rng = random.Random(seed)
+    return G.conjugate(Permutation(rng.sample(range(G.degree), G.degree)))
+
+
+def raising(*args):
+    raise AssertionError("the coloring or the search ran")
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param(regular(spec), id=repr(spec)) for spec in REGULAR_SPECS
+] + [
+    pytest.param(relabeled(regular(spec), seed), id=f"relabeled-{spec!r}")
+    for seed, spec in enumerate(REGULAR_SPECS)
 ] + [pytest.param(PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])]),
                   id="semiregular-(012)(345)")])
 @pytest.mark.parametrize("k", [2, 3])
@@ -575,8 +595,24 @@ def test_regular_closures_run_no_completion(monkeypatch, G, k):
     # image and every completion the search starts succeeds: a count of
     # the Permutations it builds counts its completions.  Unseeded, the
     # search makes at least one
-    assert k_closure(G, k).generators == G.generators
     S = orbit_coloring(G, k)
+    U = automorphisms(S, G.generators)
+    if G.is_transitive():
+        # a regular input is answered from its chain, or else from one
+        # listing that leaves no chain behind: the group, generators and
+        # base the search finds, with neither run
+        unbuilt = PermGroup(G.degree, G.generators)
+        assert G.order == G.degree
+        with monkeypatch.context() as m:
+            m.setattr(closures, "orbit_coloring", raising)
+            m.setattr(closures, "automorphisms", raising)
+            closed = [k_closure(H, k) for H in (unbuilt, G)]
+        assert "_chain" not in vars(unbuilt)
+        for C in closed:
+            assert "_chain" not in vars(C)
+            assert (C.generators, C._chain.base, C.order) \
+                == (U.generators, U._chain.base, U.order)
+    assert k_closure(G, k).generators == G.generators
     calls = []
 
     def counting(images):
@@ -588,6 +624,26 @@ def test_regular_closures_run_no_completion(monkeypatch, G, k):
     assert calls == []
     assert automorphisms(S).order == G.order
     assert calls
+
+
+@pytest.mark.parametrize("G, k", [
+    (PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])]), 2),
+    (PermGroup(6, [Permutation([1, 2, 0, 4, 5, 3])]), 3),
+    (relabeled(regular(GroupSpec.dihedral(6)), 1), 1)],
+    ids=["semiregular-k2", "semiregular-k3", "regular-k1"])
+def test_other_closures_color_once(monkeypatch, G, k):
+    # a semiregular intransitive input is k-closed for k >= 2 too, but its
+    # closure comes from the search; a regular input's 1-closure is S_n
+    colorings = []
+
+    def counted(*args):
+        colorings.append(args)
+        return orbit_coloring(*args)
+
+    monkeypatch.setattr(closures, "orbit_coloring", counted)
+    C = k_closure(G, k)
+    assert len(colorings) == 1
+    assert C.order == (math.factorial(G.degree) if k == 1 else G.order)
 
 
 class TestAutomorphisms:

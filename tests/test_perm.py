@@ -495,3 +495,24 @@ def test_regular_groups_take_their_chain_from_a_listing(monkeypatch):
     assert groups[0].order == 32
     assert [chain_key(G._chain) for G in groups] == expected
     assert all(G.is_regular() for G in groups)
+
+
+def test_nontrivial_regular_builds_no_chain(monkeypatch):
+    # the listing decides regularity and installs nothing; a chain already
+    # built answers instead, and trivial groups are never listed
+    regular = [regular_representation(spec, "right").group
+               for spec in (GroupSpec.cyclic(2), GroupSpec.dihedral(16),
+                            GroupSpec.q8())]
+    # of order n but intransitive; semiregular; neither; trivial
+    others = [PermGroup(4, [perm((0, 1), n=4), perm((2, 3), n=4)]),
+              PermGroup(6, [perm((0, 1, 2), (3, 4, 5), n=6)]),
+              PermGroup.symmetric(4), PermGroup.trivial(1),
+              PermGroup.trivial(0)]
+    for i, G in enumerate(regular + others):
+        listed = G.is_nontrivial_regular()
+        assert "_chain" not in vars(G)
+        assert listed == (i < len(regular)) \
+            == (G.degree > 1 and G.is_regular())
+    built = [G for G in regular + others[:3] if G.order]
+    monkeypatch.setattr(PermGroup, "is_regular", lambda G: "chain")
+    assert [G.is_nontrivial_regular() for G in built] == ["chain"] * 6
