@@ -18,8 +18,7 @@ from .zoo import (GroupSpec, LabeledPermGroup, cor2_groups,
                   inner_holomorph, isomorphic_groups, isomorphic_to_spec,
                   regular_representation, zsigmondy_ppd)
 from .closures import (BudgetExceededError, ColoredStructure, automorphisms,
-                       is_automorphism, is_k_closed, k_closure,
-                       orbit_coloring)
+                       is_automorphism, k_closure, orbit_coloring)
 from .ci import (CiVerdict, TowerResult, align_sylow_orbits,
                  are_conjugate_subgroups, babai_check, block_tower_search,
                  canonical_ratio_patterns, holomorph_witness,

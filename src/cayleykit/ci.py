@@ -17,10 +17,11 @@ from operator import itemgetter
 
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
                      classify_block_system, pullback_system, verify_tower)
-from .closures import check_budget, is_k_closed
+from .closures import check_budget, k_closure
 from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
                    PermGroup, Permutation, _Chain, _is_power_of, _is_prime,
-                   _unchecked, orbit, prime_factors, sylow_subgroup)
+                   _unchecked, is_normal_in, orbit, prime_factors,
+                   sylow_subgroup)
 from .zoo import (MAX_SPEC_ORDER, _by_order, _table_profile, cayley_table,
                   group_in_family_R, inner_holomorph, isomorphic_groups,
                   isomorphism_test, regular_representation)
@@ -185,14 +186,12 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_subgroup_of(A):
             raise ValueError(f"{name} is not a subgroup of the ambient group")
-    # first: a regular group then gets its chain without Schreier-Sims
     regular = R.is_regular() and T.is_regular()
     if R.order != T.order:
         return None
     if R == T:
         return Permutation.identity(A.degree)
-    if all(R.contains(a.inverse() * g * a)
-           for a in A.generators for g in R.generators):
+    if is_normal_in(R, A):
         # R is normal in A, so its class is {R}, and T is not R
         if transcript is not None:
             entry = {"proof": "R is normal in A", "result": "no"}
@@ -390,20 +389,22 @@ def babai_check(A, spec):
 
 
 def holomorph_witness(spec):
-    """Run the full witness pipeline on the inner holomorph of a group.
+    """Run the full witness pipeline on the inner holomorph A of a group.
 
-    Builds the group generated by both regular representations, tests
-    whether it is 3-closed, and asks whether the left and right copies
-    are conjugate inside it.  A 3-closed holomorph with nonconjugate
-    left/right copies certifies a non-CI ternary structure.
+    Takes C = A^(3) once, reads from it whether A is 3-closed, and asks
+    whether the left and right copies are conjugate in C.  C is the
+    automorphism group of a ternary structure that both copies act on
+    regularly, so nonconjugate copies certify a non-CI ternary structure
+    (Babai's lemma), whether A is 3-closed or not.
     """
     check_budget(spec.size, 3)
     A = inner_holomorph(spec)
+    C = k_closure(A, 3)
     GL = regular_representation(spec, "left").group
     GR = regular_representation(spec, "right").group
-    c = are_conjugate_subgroups(A, GL, GR)
+    c = are_conjugate_subgroups(C, GL, GR)
     return {"holomorph_order": A.order,
-            "is_3_closed": is_k_closed(A, 3),
+            "is_3_closed": C.order == A.order,
             "left_right_conjugate": c is not None}
 
 

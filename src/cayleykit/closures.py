@@ -359,25 +359,22 @@ def automorphisms(S, known=()):
 def k_closure(G, k):
     """The largest group with G's orbits on ordered k-tuples.  It holds G
     (Wielandt), so G's generators seed the search, which then looks only
-    for what G lacks; no chain of G is built.
+    for what G lacks; no Schreier-Sims runs on G.
 
     A regular group is 2-closed: (0, y) is the only pair of its G-orbit
     that starts at 0, so the stabilizer of 0 in G^(2) fixes every y, and
     |G^(2)| = n = |G|.  For k >= 2, G <= G^(k) <= G^(2) (Wielandt 1969),
-    so a regular G is its own k-closure, decided by one listing of G with
-    no color table and no search.  The group, generators and base are
-    those the seeded search returns: every seed moves 0, and the n pairs
-    (y, 0) have n colors, so no level past 0 has a candidate.
+    so a regular G is its own k-closure, with no color table and no
+    search: G's chain decides it, or else one listing of G that a later
+    chain of G reuses.  The group, generators and base are those the
+    seeded search returns: every seed moves 0, and the n pairs (y, 0)
+    have n colors, so no level past 0 has a candidate.
     """
     n = G.degree
     check_budget(n, k)
-    if k >= 2 and G.is_nontrivial_regular():
+    if k >= 2 and n > 1 and G.is_regular():
         return PermGroup(n, G.generators, base=[0])
     return automorphisms(orbit_coloring(G, k), G.generators)
-
-
-def is_k_closed(G, k):
-    return k_closure(G, k).order == G.order
 
 
 def _color_preserving(S):

@@ -321,8 +321,9 @@ class _Chain:
 
 class PermGroup:
     """A permutation group given by generators.  Its chain is built when
-    first read, by Schreier-Sims, or, when a base is given, from the
-    orbits alone: the generators are trusted as a strong set for it."""
+    first read: by Schreier-Sims, or, when a base is given or the group
+    is regular, from the orbits alone, with the generators trusted as a
+    strong set."""
 
     def __init__(self, degree, generators, base=None):
         gens = []
@@ -339,30 +340,21 @@ class PermGroup:
 
     @cached_property
     def _chain(self):
-        if self._base is None:
-            return self._regular_chain() \
-                or _Chain.schreier_sims(self.degree, self.generators)
-        return _Chain(self.degree, self._base, self.generators)
+        """A regular group, decided by `_listed_regular`, takes the base
+        [0]: that is its Schreier-Sims chain, since every other element
+        moves 0, so no Schreier generator survives."""
+        if self._base is not None:
+            return _Chain(self.degree, self._base, self.generators)
+        if self.generators and self._listed_regular:
+            return _Chain(self.degree, [0], self.generators)
+        return _Chain.schreier_sims(self.degree, self.generators)
 
-    def _regular_chain(self):
-        """If the group is regular and not trivial, its chain on the base
-        [0] with the generators as the strong set, installed and returned;
-        else None.  That chain is its Schreier-Sims chain: every other
-        element moves 0, so no Schreier generator survives."""
-        if not self.is_nontrivial_regular():
-            return None
-        self._chain = _Chain(self.degree, [0], self.generators)
-        return self._chain
-
-    def is_nontrivial_regular(self):
-        """Regular and not trivial, so of degree at least 2.  A chain
-        already built answers; else the group is listed by right
-        multiplication, up to n + 1 elements, and no chain is built."""
+    @cached_property
+    def _listed_regular(self):
+        """Regular, decided by listing the group by right multiplication,
+        up to n + 1 elements, with no chain built.  Read only for a group
+        with generators: a trivial group is never listed."""
         n = self.degree
-        if not self.generators:
-            return False
-        if "_chain" in vars(self):
-            return self.is_regular()
         out = [tuple(range(n))]
         seen = set(out)
         gathers = [itemgetter(*g.images) for g in self.generators]
@@ -452,11 +444,13 @@ class PermGroup:
         return all(len(orb) == self.order for orb in self.orbits())
 
     def is_regular(self):
-        """Transitive of order n; before a chain is built, a group with
-        generators is listed by `_regular_chain` instead."""
+        """Transitive of order n.  A built chain answers, and a group given
+        a base builds its chain from the orbits; any other group with
+        generators is decided by `_listed_regular`, which installs no
+        chain, and a later chain reuses that answer."""
         if self._base is None and "_chain" not in vars(self) \
                 and self.generators:
-            return self._regular_chain() is not None
+            return self._listed_regular
         return self.is_transitive() and self.order == self.degree
 
     def transitivity_profile(self):

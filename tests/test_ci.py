@@ -591,6 +591,13 @@ class TestHolomorphWitness:
         assert out == {"holomorph_order": 441, "is_3_closed": True,
                        "left_right_conjugate": False}
 
+    def test_q8_copies_are_conjugate_in_the_3_closure(self):
+        # the inner holomorph of Q8 is not 3-closed, and its two classes of
+        # regular copies merge in the 3-closure, as ci-check reads them
+        out = holomorph_witness(GroupSpec.q8())
+        assert out == {"holomorph_order": 32, "is_3_closed": False,
+                       "left_right_conjugate": True}
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             holomorph_witness(GroupSpec.cyclic(100))

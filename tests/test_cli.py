@@ -151,6 +151,24 @@ class TestClosure:
         assert payload["is_k_closed"]
         assert payload["closure"]["order"] == 5
 
+    def test_regular_spec_is_listed_once(self, capsys, monkeypatch):
+        # k_closure asks is_regular, and the order printed for is_k_closed
+        # reuses that listing: G is listed once, and no Schreier-Sims runs
+        listed = []
+        prop = PermGroup.__dict__["_listed_regular"]
+        listing = prop.func
+
+        def counted(G):
+            listed.append(G)
+            return listing(G)
+
+        monkeypatch.setattr(prop, "func", counted)
+        monkeypatch.setattr(perm._Chain, "schreier_sims", no_chain)
+        code, payload = run(capsys, "closure", "--spec", "cyclic(256)",
+                            "--k", "2")
+        assert code == 0 and payload["is_k_closed"]
+        assert len(listed) == 1
+
     def test_needs_spec_or_fixture(self, capsys):
         code, _ = run(capsys, "closure", "--k", "2")
         assert code == 2
@@ -421,7 +439,8 @@ class TestTower:
         path = tmp_path / "z2049.json"
         path.write_text(json.dumps({"degree": n,
                                     "generators": [[*range(1, n), 0]]}))
-        monkeypatch.setattr(PermGroup, "_regular_chain", no_chain)
+        monkeypatch.setattr(PermGroup.__dict__["_listed_regular"], "func",
+                            no_chain)
         code, payload = usage_error(capsys, "tower", str(path), str(path))
         assert code == 3 and list(payload) == ["error"]
         assert "2048" in payload["error"]

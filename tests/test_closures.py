@@ -16,8 +16,7 @@ from cayleykit import closures, perm
 from cayleykit.closures import (DEGREE_BUDGET, BudgetExceededError,
                                 ColoredStructure, _tuple_codes, automorphisms,
                                 brute_force_automorphisms, check_budget,
-                                is_automorphism, is_k_closed, k_closure,
-                                orbit_coloring)
+                                is_automorphism, k_closure, orbit_coloring)
 from cayleykit.perm import PermGroup, Permutation, orbit
 from cayleykit.zoo import (GroupSpec, frobenius_natural_action,
                            inner_holomorph, regular_representation)
@@ -746,12 +745,12 @@ class TestKClosure:
 
     def test_frobenius_natural_2_closed(self):
         G = frobenius_natural_action(7, 3)
-        assert is_k_closed(G, 2)
+        assert k_closure(G, 2).order == G.order
 
     def test_holomorph_3_closed_not_2_closed(self):
         A = inner_holomorph(GroupSpec.frobenius(5, 4))
-        assert is_k_closed(A, 3)
-        assert not is_k_closed(A, 2)
+        assert k_closure(A, 3).order == A.order
+        assert k_closure(A, 2).order != A.order
 
     def test_budget(self):
         G = regular(GroupSpec.cyclic(70))

@@ -4,7 +4,8 @@ from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
 oracles that do not call the kernels they check, no nested function
-that reads its own name, and none that its outer function never reads.
+that reads its own name, none that its outer function never reads, and
+no assignment to the name of a cached_property.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -119,7 +120,7 @@ UNREACHED_PUBLIC = {
     "ci.py:align_sylow_orbits": "a span of the benchmark tracer",
     "zoo.py:isomorphic_to_spec": "a span of the benchmark tracer",
     "blocks.py:minimal_block_containing":
-        "the planned primitivity test of ROADMAP item 3 will call it",
+        "the planned primitivity test of ROADMAP item 5 will call it",
     "blocks.py:BlockSystem.apply": "the reference breadth-first search in "
         "test_transporter_returns_the_block_system_word",
     "closures.py:ColoredStructure.encode": "reference_is_automorphism",
@@ -236,3 +237,38 @@ def test_every_nested_function_is_read():
     # module-level reference checks cannot see
     assert [f"{name}: {f}" for name in MODULES
             for f in unread_nested_functions(parse(name))] == []
+
+
+def cached_property_assignments(trees):
+    """'module:line' for each assignment, in any module, to an attribute
+    named like a cached_property that one of the modules defines."""
+    cached = {node.name for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Name) and d.id == "cached_property"
+                      for d in node.decorator_list)}
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            while targets:
+                t = targets.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets.extend(t.elts)
+                elif isinstance(t, ast.Starred):
+                    targets.append(t.value)
+                elif isinstance(t, ast.Attribute) and t.attr in cached:
+                    found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_cached_property_is_assigned():
+    # a cached_property is computed in one place, when first read; code
+    # that assigns its name installs a value by another route, and every
+    # reader must then know which route ran first
+    assert cached_property_assignments(
+        {name: parse(name) for name in MODULES}) == []

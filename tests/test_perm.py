@@ -497,22 +497,46 @@ def test_regular_groups_take_their_chain_from_a_listing(monkeypatch):
     assert all(G.is_regular() for G in groups)
 
 
-def test_nontrivial_regular_builds_no_chain(monkeypatch):
-    # the listing decides regularity and installs nothing; a chain already
-    # built answers instead, and trivial groups are never listed
+def test_regularity_is_listed_once_and_installs_no_chain(monkeypatch):
+    # is_regular lists a group with generators once and installs no chain;
+    # a later chain reuses that listing, so a regular group takes the base
+    # [0] with no Schreier-Sims.  A built chain answers without listing,
+    # and trivial groups never list
+    listed = []
+    prop = PermGroup.__dict__["_listed_regular"]
+    listing = prop.func
+
+    def counted(G):
+        listed.append(id(G))
+        return listing(G)
+
+    def raising(*args, **kwargs):
+        raise AssertionError("listed or ran Schreier-Sims")
+
+    monkeypatch.setattr(prop, "func", counted)
     regular = [regular_representation(spec, "right").group
                for spec in (GroupSpec.cyclic(2), GroupSpec.dihedral(16),
                             GroupSpec.q8())]
-    # of order n but intransitive; semiregular; neither; trivial
+    # of order n but intransitive; semiregular; neither
     others = [PermGroup(4, [perm((0, 1), n=4), perm((2, 3), n=4)]),
               PermGroup(6, [perm((0, 1, 2), (3, 4, 5), n=6)]),
-              PermGroup.symmetric(4), PermGroup.trivial(1),
-              PermGroup.trivial(0)]
-    for i, G in enumerate(regular + others):
-        listed = G.is_nontrivial_regular()
-        assert "_chain" not in vars(G)
-        assert listed == (i < len(regular)) \
-            == (G.degree > 1 and G.is_regular())
-    built = [G for G in regular + others[:3] if G.order]
-    monkeypatch.setattr(PermGroup, "is_regular", lambda G: "chain")
-    assert [G.is_nontrivial_regular() for G in built] == ["chain"] * 6
+              PermGroup.symmetric(4)]
+    groups = regular + others
+    answers = [True] * len(regular) + [False] * len(others)
+    for _ in range(2):
+        assert [G.is_regular() for G in groups] == answers
+        assert not any("_chain" in vars(G) for G in groups)
+    with monkeypatch.context() as m:
+        m.setattr(_Chain, "schreier_sims", raising)
+        assert [G.order for G in regular] == [2, 32, 8]
+    assert [G._chain.base for G in regular] == [[0]] * len(regular)
+    assert [G.order for G in others] == [4, 3, 24]
+    assert listed == [id(G) for G in groups]
+    monkeypatch.setattr(prop, "func", raising)
+    for G in groups:
+        del G._listed_regular
+    assert [G.is_regular() for G in groups] == answers
+    trivial = [PermGroup.trivial(1), PermGroup.trivial(0),
+               PermGroup.trivial(3)]
+    assert [G.is_regular() for G in trivial] == [True, False, False]
+    assert [G.order for G in trivial] == [1, 1, 1]
