@@ -6,9 +6,8 @@ towers), zoo (concrete group constructors), closures (k-closures), ci
 cli (command-line surface).
 """
 
-from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
-                   PermGroup, Permutation, is_normal_in, normalizer, orbit,
-                   sylow_subgroup)
+from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
+                   is_normal_in, normalizer, orbit, sylow_subgroup)
 from .blocks import (BlockAction, BlockSystem, action_on_blocks,
                      all_block_systems, block_restriction,
                      classify_block_system, minimal_block_containing,

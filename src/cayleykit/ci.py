@@ -18,10 +18,9 @@ from operator import itemgetter
 from .blocks import (BlockSystem, action_on_blocks, all_block_systems,
                      classify_block_system, pullback_system, verify_tower)
 from .closures import check_budget, k_closure
-from .perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP, CapExceededError,
-                   PermGroup, Permutation, _Chain, _is_power_of, _is_prime,
-                   _unchecked, is_normal_in, orbit, prime_factors,
-                   sylow_subgroup)
+from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
+                   _Chain, _is_power_of, _is_prime, _unchecked, is_normal_in,
+                   orbit, prime_factors, sylow_subgroup)
 from .zoo import (MAX_SPEC_ORDER, _by_order, _table_profile, cayley_table,
                   group_in_family_R, inner_holomorph, isomorphic_groups,
                   isomorphism_test, regular_representation)
@@ -31,11 +30,11 @@ class CiVerdict:
     """Outcome of the regular-subgroup conjugacy test on one ambient group:
     status is ci_for_this_structure, not_ci_witness or no_regular_copy."""
 
-    def __init__(self, status, witness=None, classes=0, transcript=None):
+    def __init__(self, status, witness, classes, transcript):
         self.status = status
         self.witness = witness  # pair of nonconjugate regular subgroups
         self.classes = classes
-        self.transcript = [] if transcript is None else transcript
+        self.transcript = transcript
 
     def to_json(self):
         wit = None
@@ -50,13 +49,13 @@ class CiVerdict:
 class TowerResult:
     """A conjugator plus the chain of normal block systems it produces."""
 
-    def __init__(self, conjugator, tower, ratios, exceptional_case=None,
-                 transcript=None):
+    def __init__(self, conjugator, tower, ratios, exceptional_case,
+                 transcript):
         self.conjugator = conjugator
         self.tower = tower  # B_0 (singletons) up to B_m (one block), inclusive
         self.ratios = ratios  # consecutive block-size ratios, length m
         self.exceptional_case = exceptional_case
-        self.transcript = [] if transcript is None else transcript
+        self.transcript = transcript
 
     def to_json(self):
         return {"conjugator": self.conjugator.to_json(),
@@ -114,19 +113,20 @@ def _breadth_first(start, moves, act, identity):
 
 
 def _class_walk(A, R, T):
-    """For each member R^c of R's class, in breadth-first order under A's
-    generators: c's images, and c when R^c = T, else None."""
+    """For each member R^c of R's class, one per right coset of R's
+    normalizer in A, in breadth-first order under A's generators: c when
+    R^c = T, else None."""
     Tkeys = _element_keys(T)
     moves = [(g, _conjugation(g)) for g in A.generators]
-    return ((c.images, c if key == Tkeys else None)
+    return (c if key == Tkeys else None
             for key, c in _breadth_first(_element_keys(R), moves,
                                          _conjugate_key,
                                          Permutation.identity(A.degree)))
 
 
 def _base_image_search(A, R, T):
-    """The candidate count for regular R and T, and for each candidate its
-    images and the c in A it gives with R^c = T, or None.
+    """The candidate count for regular R and T, and for each candidate
+    the c in A it gives with R^c = T, or None.
 
     If R^c = T, some c fixes 0, and m = c^-1 is the point map
     r(0) -> phi(r)(0) of the isomorphism phi(r) = c^-1 r c.  A candidate
@@ -163,25 +163,22 @@ def _base_image_search(A, R, T):
             return m.inverse()
         return None
 
-    return prod(map(len, choices)), (
-        (images, conjugator(images)) for images in itertools.product(*choices))
+    return prod(map(len, choices)), map(conjugator,
+                                        itertools.product(*choices))
 
 
-def are_conjugate_subgroups(A, R, T, transcript=None):
+def are_conjugate_subgroups(A, R, T):
     """Some c in A with R^c = T, or None after an exhaustive search.
 
     A normal R is conjugate only to itself, which A's generators show
-    with |gens A| * |gens R| membership tests; a transcript then gets one
-    entry naming that proof, which counts for regular R and T the
-    candidates it leaves untried as dropped.  Otherwise, for regular R
-    and T, each isomorphism candidate is tried by its base
-    images (see _base_image_search) when there are at most |A| of them;
-    otherwise a breadth-first search walks R's class under A's
-    generators, keyed by element sets, one member per right coset of the
-    normalizer of R in A.  The smaller of those bounds must be within
-    BRUTE_FORCE_CAP.  A transcript, if given, logs the first
-    TRANSCRIPT_CAP tries that fail and then one {"dropped": k} entry for
-    the k left out.
+    with |gens A| * |gens R| membership tests, so no candidate is tried.
+    Otherwise, for regular R and T, each isomorphism candidate is tried
+    by its base images (see _base_image_search) when there are at most
+    |A| of them; otherwise a breadth-first search walks R's class under
+    A's generators, keyed by element sets, one member per right coset of
+    the normalizer of R in A.  The smaller of those bounds must be within
+    BRUTE_FORCE_CAP.  Either route tries every candidate before it
+    answers None.
     """
     for H, name in ((R, "R"), (T, "T")):
         if not H.is_subgroup_of(A):
@@ -193,11 +190,6 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
         return Permutation.identity(A.degree)
     if is_normal_in(R, A):
         # R is normal in A, so its class is {R}, and T is not R
-        if transcript is not None:
-            entry = {"proof": "R is normal in A", "result": "no"}
-            if regular:  # the candidates the proof settles untried
-                entry["dropped"] = _base_image_search(A, R, T)[0]
-            transcript.append(entry)
         return None
     count, attempts = _base_image_search(A, R, T) if regular else (None, None)
     if count is None or count > A.order:
@@ -206,18 +198,7 @@ def are_conjugate_subgroups(A, R, T, transcript=None):
         attempts = _class_walk(A, R, T)
     elif count > BRUTE_FORCE_CAP:
         raise CapExceededError("candidate count exceeds the cap")
-    found = None
-    tried = 0
-    for images, c in attempts:
-        if c is not None:
-            found = c
-            break
-        if transcript is not None and tried < TRANSCRIPT_CAP:
-            transcript.append({"tried": list(images), "result": "no"})
-        tried += 1
-    if transcript is not None and tried > TRANSCRIPT_CAP:
-        transcript.append({"dropped": tried - TRANSCRIPT_CAP})
-    return found
+    return next(filter(None, attempts), None)
 
 
 def _semiregular_order(images):
@@ -408,10 +389,6 @@ def holomorph_witness(spec):
             "left_right_conjugate": c is not None}
 
 
-def _orbit_partition(H):
-    return BlockSystem(H.degree, H.orbits())
-
-
 def _moved_labels(labels, at_g):
     """The block labels of the points after g^-1 moves a partition: the
     labels gathered at g's images, renumbered by first occurrence."""
@@ -467,8 +444,8 @@ def _joint(R, T):
 def _align_sylow_orbits(R, T, p, ambient):
     """R's Sylow p-orbit partition and align_sylow_orbits on checked
     input, ambient being <R, T>."""
-    PR = _orbit_partition(sylow_subgroup(R, p))
-    PT = _orbit_partition(sylow_subgroup(T, p))
+    PR = BlockSystem(R.degree, sylow_subgroup(R, p).orbits())
+    PT = BlockSystem(T.degree, sylow_subgroup(T, p).orbits())
     # orbits of (T_p)^d are d^-1 applied to the orbits of T_p
     return PR, partition_transporter(ambient, PT, PR)
 

@@ -12,8 +12,6 @@ from operator import itemgetter
 
 # Operations that touch every group element refuse groups larger than this.
 BRUTE_FORCE_CAP = 10**6
-# A search transcript logs at most this many tries and counts the rest.
-TRANSCRIPT_CAP = 100
 
 
 class CapExceededError(RuntimeError):
@@ -81,18 +79,6 @@ class Permutation:
         for x, y in enumerate(self.images):
             inv[y] = x
         return _unchecked(tuple(inv))
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        p = self
-        while k:
-            if k & 1:
-                result = result * p
-            p = p * p
-            k >>= 1
-        return result
 
     def is_identity(self):
         return self.images == tuple(range(len(self.images)))
@@ -386,9 +372,6 @@ class PermGroup:
 
     def contains(self, p):
         return self._chain.contains(p)
-
-    def __contains__(self, p):
-        return self.contains(p)
 
     def __eq__(self, other):
         return (isinstance(other, PermGroup)

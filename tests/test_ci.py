@@ -16,9 +16,8 @@ from cayleykit.ci import (CiVerdict, TowerResult, _semiregular_order,
                           holomorph_witness, partition_transporter,
                           regular_subgroups)
 from cayleykit.closures import BudgetExceededError, k_closure
-from cayleykit.perm import (BRUTE_FORCE_CAP, TRANSCRIPT_CAP,
-                            CapExceededError, PermGroup, Permutation,
-                            sylow_subgroup)
+from cayleykit.perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup,
+                            Permutation, sylow_subgroup)
 from cayleykit.repro import (_regular_oracle_corpus,
                              dic3_partition_stabilizer, regular_class_scan)
 from cayleykit.zoo import (GroupSpec, cor2_groups, inner_holomorph,
@@ -78,9 +77,7 @@ class TestConjugacy:
         A = inner_holomorph(spec)
         L = regular_representation(spec, "left").group
         R = regular_representation(spec, "right").group
-        transcript = []
-        assert are_conjugate_subgroups(A, L, R, transcript=transcript) is None
-        assert transcript  # the tried representatives are logged
+        assert are_conjugate_subgroups(A, L, R) is None
 
     def test_normal_r_needs_no_search(self, monkeypatch):
         # the left copy is normal in the inner holomorph: A's generators
@@ -90,11 +87,7 @@ class TestConjugacy:
         A = inner_holomorph(spec)
         L = regular_representation(spec, "left").group
         R = regular_representation(spec, "right").group
-        transcript = []
-        assert are_conjugate_subgroups(A, L, R, transcript=transcript) \
-            is None
-        assert transcript == [{"proof": "R is normal in A", "result": "no",
-                               "dropped": 10836}]
+        assert ci._base_image_search(A, L, R)[0] == 10836
 
         def no_search(*args):
             raise AssertionError("a candidate search ran")
@@ -103,18 +96,15 @@ class TestConjugacy:
         monkeypatch.setattr(ci, "_class_walk", no_search)
         assert are_conjugate_subgroups(A, L, R) is None
 
-    def test_transcript_is_bounded(self):
+    def test_class_walk_tries_every_coset(self):
         # a double and a triple transposition: 105 cosets of the first's
         # normalizer in S7, none of them a conjugator
         S7 = PermGroup.symmetric(7)
         H = PermGroup(7, [Permutation.from_cycles(7, [(0, 1), (2, 3)])])
         K = PermGroup(7, [Permutation.from_cycles(7, [(0, 1), (2, 3),
                                                       (4, 5)])])
-        transcript = []
-        assert are_conjugate_subgroups(S7, H, K, transcript=transcript) \
-            is None
-        assert len(transcript) == TRANSCRIPT_CAP + 1
-        assert transcript[-1] == {"dropped": 105 - TRANSCRIPT_CAP}
+        assert list(ci._class_walk(S7, H, K)) == [None] * 105
+        assert are_conjugate_subgroups(S7, H, K) is None
 
     def test_membership_checked(self):
         S4 = PermGroup.symmetric(4)
@@ -122,16 +112,36 @@ class TestConjugacy:
         with pytest.raises(ValueError):
             are_conjugate_subgroups(S4, S5sub, S5sub)
 
+    def test_class_walk_over_the_ambient_cap_is_refused(self):
+        # R is not regular, so only the class walk can answer, and S10 has
+        # more elements than the cap
+        S10 = PermGroup.symmetric(10)
+        R = PermGroup(10, [Permutation.from_cycles(10, [(0, 1)])])
+        T = PermGroup(10, [Permutation.from_cycles(10, [(0, 1), (2, 3)])])
+        with pytest.raises(CapExceededError,
+                           match="ambient group exceeds the cap"):
+            are_conjugate_subgroups(S10, R, T)
+
+    def test_candidates_over_the_cap_are_refused(self):
+        # each of the five generators of Z2^5 has 31 same-order images:
+        # 31^5 candidates, over the cap but fewer than |S32|
+        S32 = PermGroup.symmetric(32)
+        R = regular(GroupSpec.elementary_abelian_2(5))
+        T = R.conjugate(Permutation.from_cycles(32, [(0, 1)]))
+        assert ci._base_image_search(S32, R, T)[0] == 31 ** 5
+        with pytest.raises(CapExceededError,
+                           match="candidate count exceeds the cap"):
+            are_conjugate_subgroups(S32, R, T)
+
     def test_regular_pair_over_the_ambient_cap_is_certified(self):
         # <G1, G2> has order 1055^2, over the cap that the class walk
         # keeps; G1 is cyclic, so the candidates are the 840 images of a
         # generator among the elements of order 1055
         G1, G2 = cor2_groups(211, 5, 0, 1)
         A = PermGroup(1055, list(G1.generators) + list(G2.generators))
-        transcript = []
-        assert are_conjugate_subgroups(A, G1, G2, transcript) is None
+        assert are_conjugate_subgroups(A, G1, G2) is None
         assert A.order == 1055 ** 2 > BRUTE_FORCE_CAP
-        assert sum(e.get("dropped", 1) for e in transcript) == 840
+        assert ci._base_image_search(A, G1, G2)[0] == 840
 
 
 @st.composite
@@ -165,20 +175,15 @@ def test_conjugacy_matches_brute_force(case):
     elems = A.elements()
     conjugate = R.order == T.order and any(maps_into(c, Tkeys)
                                            for c in elems)
-    transcript = []
-    got = are_conjugate_subgroups(A, R, T, transcript=transcript)
+    got = are_conjugate_subgroups(A, R, T)
     assert (got is not None) == conjugate
     if got is not None:
         assert A.contains(got)
         assert {g.images for g in R.conjugate(got).elements()} == Tkeys
-    elif R.order == T.order and not (R.is_regular() and T.is_regular()):
-        # a "none" from the class walk tried every member of R's class,
-        # one per right coset of the normalizer; regular pairs, which
-        # count candidates, are checked by
-        # test_regular_route_matches_the_class_walk
-        tried = sum(e.get("dropped", 1) for e in transcript)
-        normalizer = sum(maps_into(c, Rkeys) for c in elems)
-        assert tried == A.order // normalizer
+    # the class walk visits every member of R's class, one per right coset
+    # of the normalizer
+    normalizer = sum(maps_into(c, Rkeys) for c in elems)
+    assert len(list(ci._class_walk(A, R, T))) == A.order // normalizer
 
 
 @st.composite
@@ -458,20 +463,15 @@ def test_regular_route_matches_the_class_walk(case):
     A, R, T = case
     Tkeys = {g.images for g in T.elements()}
     count, attempts = ci._base_image_search(A, R, T)
-    found = [c for _, c in attempts]
+    found = list(attempts)
     assert len(found) == count
-    by_walk = next((c for _, c in ci._class_walk(A, R, T) if c is not None),
-                   None)
+    by_walk = next(filter(None, ci._class_walk(A, R, T)), None)
     assert any(found) == (by_walk is not None)
     for c in filter(None, found):
         assert A.contains(c)
         assert {g.images for g in R.conjugate(c).elements()} == Tkeys
-    transcript = []
-    got = are_conjugate_subgroups(A, R, T, transcript=transcript)
+    got = are_conjugate_subgroups(A, R, T)
     assert (got is not None) == (by_walk is not None)
-    if got is None and count <= A.order:
-        # a "none" from the regular route tried every candidate
-        assert sum(e.get("dropped", 1) for e in transcript) == count
 
 
 def subgroup_key(images):

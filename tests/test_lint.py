@@ -4,8 +4,9 @@ from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
 oracles that do not call the kernels they check, no nested function
-that reads its own name, none that its outer function never reads, and
-no assignment to the name of a cached_property.
+that reads its own name, none that its outer function never reads, no
+assignment to the name of a cached_property, and no defaulted parameter
+that no call passes or that every call passes.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -15,13 +16,13 @@ from collections import Counter
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                       "src", "cayleykit")
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+PACKAGE = os.path.join(REPO, "src", "cayleykit")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 
 
-def parse(name):
-    with open(os.path.join(PACKAGE, name)) as fh:
+def parse(name, directory=PACKAGE):
+    with open(os.path.join(directory, name)) as fh:
         return ast.parse(fh.read(), filename=name)
 
 
@@ -272,3 +273,99 @@ def test_no_cached_property_is_assigned():
     # reader must then know which route ran first
     assert cached_property_assignments(
         {name: parse(name) for name in MODULES}) == []
+
+
+def defaulted_parameters(name, tree):
+    """(key, callee name, parameter, positional index or None) for each
+    defaulted parameter of a module-level function, or of a method of a
+    module-level class, in one module.  A method is called by its own
+    name, __init__ by its class's; the index counts from the first
+    argument a call writes, so a method's self or cls is left out, and a
+    keyword-only parameter has none.  Other dunder methods are called by
+    operators, not by name, and are skipped."""
+    defs = [(node.name, node.name, node, 0) for node in tree.body
+            if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for m in cls.body:
+            if not isinstance(m, ast.FunctionDef) or (
+                    m.name.startswith("__") and m.name != "__init__"):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in m.decorator_list)
+            defs.append((f"{cls.name}.{m.name}",
+                         cls.name if m.name == "__init__" else m.name, m,
+                         0 if static else 1))
+    out = []
+    for qualname, callee, fn, implicit in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        out.extend((f"{name}:{qualname}({arg.arg})", callee, arg.arg,
+                    i - implicit)
+                   for i, arg in enumerate(positional) if i >= first)
+        out.extend((f"{name}:{qualname}({arg.arg})", callee, arg.arg, None)
+                   for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None)
+    return out
+
+
+def calls_by_callee(trees):
+    """Callee name -> the calls in trees that name it, bare as in `f(x)`
+    or as an attribute as in `G.f(x)`."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, parameter, index):
+    """Whether a call writes a parameter: by keyword, through **kwargs or
+    *args, or positionally at its index."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index
+        or any(isinstance(a, ast.Starred) for a in call.args[:index + 1]))
+
+
+def sources(directory, tests):
+    return [parse(f, directory) for f in sorted(os.listdir(directory))
+            if f.endswith(".py") and (tests or not f.startswith("test_"))]
+
+
+# Defaulted parameters that no call in src or perfbench passes, each kept
+# for a reason that the call-site match cannot see
+UNPASSED_PARAMETERS = {
+    "repro.py:claim_tower_dic3(seed)": "run_claim calls it through CLAIMS",
+}
+
+
+def test_every_parameter_changes_something():
+    # a default that no caller overrides is a constant dressed as an
+    # option, and one that every caller overrides, tests included, is no
+    # default at all
+    perfbench = os.path.join(REPO, "perfbench")
+    package = {name: parse(name) for name in MODULES}
+    used = calls_by_callee(list(package.values())
+                           + sources(perfbench, tests=False))
+    every = calls_by_callee(list(package.values())
+                            + sources(perfbench, tests=True)
+                            + sources(os.path.join(REPO, "tests"), tests=True))
+    unpassed, always = [], []
+    for name, tree in package.items():
+        for key, callee, parameter, index in defaulted_parameters(name, tree):
+            if not any(passes(c, parameter, index)
+                       for c in used.get(callee, [])):
+                unpassed.append(key)
+            calls = every.get(callee, [])
+            if calls and all(passes(c, parameter, index) for c in calls):
+                always.append(key)
+    assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
+    assert always == []
