@@ -66,9 +66,19 @@ class TowerResult:
 
 
 def _pack(n):
-    """The compact form of an image tuple of degree n: bytes up to 256
+    """The compact form of an image row of degree n: bytes up to 256
     points, the tuple itself above."""
     return bytes if n <= 256 else tuple
+
+
+def _right_multiplier(n):
+    """g -> (x -> x * g) on rows packed by _pack(n), x * g being x
+    gathered at g: one translate of g by x padded to a 256-byte table,
+    or one gather on tuples."""
+    if _pack(n) is tuple:
+        return lambda g: itemgetter(*g)
+    pad = bytes(range(n, 256))
+    return lambda g: lambda x: g.translate(x + pad)
 
 
 def _element_keys(H):
@@ -76,15 +86,20 @@ def _element_keys(H):
 
 
 def _conjugation(c):
-    """h -> c^-1 h c on image rows packed by _pack; c is not the identity,
-    so its degree is at least 2."""
+    """h -> c^-1 h c on image rows packed by _pack: h gathered at c, then
+    c^-1 gathered at that, as (c^-1 h c)(x) = c^-1(h(c(x))).  On bytes
+    each gather is one translate: c's row by h padded to 256 entries,
+    then that row by c^-1's table.  c is not the identity, so its degree
+    is at least 2 and a gather at c is a tuple."""
     n = c.degree
-    # (c^-1 h c)(x) = c^-1(h(c(x))): gather h at c, then c^-1 at that
-    at_c, cinv = itemgetter(*c.images), c.inverse().images
-    if n > 256:
+    pack = _pack(n)
+    row, cinv = pack(c.images), pack(c.inverse().images)
+    if pack is tuple:
+        at_c = itemgetter(*row)
         return lambda h: itemgetter(*at_c(h))(cinv)
-    table = bytes(cinv) + bytes(range(n, 256))
-    return lambda h: bytes(at_c(h)).translate(table)
+    pad = bytes(range(n, 256))
+    table = cinv + pad
+    return lambda h: row.translate(h + pad).translate(table)
 
 
 def _conjugate_key(key, conjugation):
@@ -249,10 +264,13 @@ def regular_subgroups(A, spec):
     some order than the group has, end the branch.  Only a complete
     assignment outside the conjugacy classes already decided goes to the
     isomorphism test, on its product table; its class is then decided,
-    each member kept as a set of rows packed by _pack, and only an
-    accepted one becomes a PermGroup, with a stabilizer chain built on
-    the known base [0] without Schreier-Sims.  Until then elements are
-    image tuples and products are gathers.
+    and only an accepted one becomes a PermGroup, with a stabilizer chain
+    built on the known base [0] without Schreier-Sims.
+    Every element the search meets, from the rows of A_0 to the members
+    of decided classes, is an image row packed by _pack, and a product is
+    one call of _right_multiplier's map.  Packed rows order as their
+    image tuples do, so the search order and the representatives do not
+    depend on the packing.
     """
     n = A.degree
     if n != spec.size:
@@ -261,45 +279,49 @@ def regular_subgroups(A, spec):
         raise CapExceededError(
             f"group order {A.order} exceeds cap {BRUTE_FORCE_CAP}")
     table = cayley_table(regular_representation(spec, "left").group)
-    hist = Counter(_table_profile(table)[0])
+    profile = _table_profile(table)
+    hist = Counter(profile[0])
     chain = A._chain
     if chain.base[:1] != [0]:  # the cosets of A_0 need 0 first in the base
         chain = _Chain.schreier_sims(n, A.generators, base_hint=(0,))
-    level0, stabilizer = chain.transversals[0], chain.elements(1)
-    orders = {}  # images of an element of A -> its order, 0 if no candidate
+    pack, times = _pack(n), _right_multiplier(n)
+    level0 = chain.transversals[0]
+    # h -> u * h for each h in A_0
+    at_stabilizer = [times(pack(h.images)) for h in chain.elements(1)]
+    orders = {}  # row of an element of A -> its order, 0 if no candidate
 
-    def candidate_order(images):
-        o = orders.get(images)
+    def candidate_order(row):
+        o = orders.get(row)
         if o is None:
-            o = _semiregular_order(images)
-            o = orders[images] = o if hist.get(o, 0) > 0 else 0
+            o = _semiregular_order(row)
+            o = orders[row] = o if hist.get(o, 0) > 0 else 0
         return o
 
-    # h -> u * h for each h in A_0, on image tuples: u gathered at h
-    at_stabilizer = [itemgetter(*h.images) for h in stabilizer]
     by_image = {}  # y -> the candidates g with g(0) = y, sorted
 
     def candidates(y):
         if y not in by_image:
             u = level0.get(y)  # None when y is outside the orbit of 0
-            coset = () if u is None else (at(u.images) for at in at_stabilizer)
+            coset = ()
+            if u is not None:
+                u = pack(u.images)
+                coset = (at(u) for at in at_stabilizer)
             by_image[y] = sorted(g for g in coset if candidate_order(g))
         return by_image[y]
 
     conj_gens = [_conjugation(g) for g in A.generators]
-    pack = _pack(n)
-    is_spec = isomorphism_test(table)
+    is_spec = isomorphism_test(table, profile)
     reps = []
     seen_conjugates = set()
 
     def extend(assigned, counts, gens, g):
-        """The closure of assigned (closed under gens, each a gather that
+        """The closure of assigned (closed under gens, each a map that
         multiplies on the right) with g added, and its order counts; None
         on a regularity or histogram conflict."""
         old = list(assigned.values())
         assigned = dict(assigned)
         counts = dict(counts)
-        at_g = itemgetter(*g)
+        at_g = times(g)
         gens = gens + (at_g,)
         new = []
         # the second part reads new while the loop below appends to it
@@ -323,12 +345,13 @@ def regular_subgroups(A, spec):
         return assigned, counts, gens
 
     def leaf(assigned):
-        key = frozenset(map(pack, assigned.values()))
+        key = frozenset(assigned.values())
         if key in seen_conjugates:
             return
         if is_spec([assigned[y] for y in range(n)]):
             # base [0]: the elements are a strong set, assigned its transversal
-            reps.append(PermGroup(n, map(_unchecked, assigned.values()),
+            reps.append(PermGroup(n, (_unchecked(tuple(row))
+                                      for row in assigned.values()),
                                   base=[0]))
         # conjugates of a rejected subgroup are rejected too
         seen_conjugates.update(orbit(key, conj_gens, _conjugate_key))
@@ -337,7 +360,7 @@ def regular_subgroups(A, spec):
     # itself is a reference cycle, and it would keep every element the
     # search met alive until the next full garbage collection.  Branches are pushed
     # in reverse, so they are taken in candidates order.
-    stack = [({0: tuple(range(n))}, {1: 1}, ())]
+    stack = [({0: pack(range(n))}, {1: 1}, ())]
     while stack:
         assigned, counts, gens = stack.pop()
         if len(assigned) == n:

@@ -431,7 +431,12 @@ def _table_profile(t):
     def mul(x, s):
         return t[x][s]
 
-    orders = [len(orbit(0, [x], mul)) for x in range(n)]
+    orders = []
+    for row in t:  # row x multiplies by x on the left: 0, x, x^2, ...
+        o, y = 1, row[0]
+        while y:
+            o, y = o + 1, row[y]
+        orders.append(o)
     gens, span = [], [0]
     for x in sorted(range(n), key=lambda x: (-orders[x], x)):
         if len(span) == n:
@@ -457,16 +462,18 @@ def _by_order(orders):
     return by_order
 
 
-def isomorphism_test(tb):
+def isomorphism_test(tb, profile=None):
     """The test ta -> (is the group with product table ta isomorphic to the
     group with product table tb?), with tb's invariants computed once for
-    many calls.  Tables come from cayley_table.
+    many calls, or taken from profile, tb's _table_profile, when the
+    caller has it.  Tables come from cayley_table, or are lists of rows
+    packed as bytes.
 
     Equal fingerprints are required first.  Then each image of ta's greedy
     generators among same-order elements of tb is grown into a map over
     their span, failing on the first conflict; a bijection is accepted.
     """
-    b_orders, _, _, b_fingerprint = _table_profile(tb)
+    b_orders, _, _, b_fingerprint = profile or _table_profile(tb)
     by_order = _by_order(b_orders)
 
     def grows(ta, gens, span, images):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -267,6 +268,38 @@ class TestRegularSubgroups:
         reps = regular_subgroups(A, spec)
         assert len(reps) == 2
         assert are_conjugate_subgroups(A, *reps) is None
+
+    def test_tuple_rows_give_the_pinned_representatives(self, monkeypatch):
+        # rows of at most 256 points are bytes; forced to tuples, the
+        # search must visit the same leaves and keep the same members
+        rows = [c2_x_d4_row()] + [frobenius_row(p, n)
+                                  for p, n in ((13, 4), (7, 3), (5, 4))]
+
+        def gens(A, spec):
+            return [H.generators for H in regular_subgroups(A, spec)]
+
+        packed = [gens(A, spec) for A, spec in rows]
+        monkeypatch.setattr(ci, "_pack", lambda n: tuple)
+        assert [gens(A, spec) for A, spec in rows] == packed
+
+    def test_search_peak_memory_on_a_relabeled_holomorph(self):
+        # the bench's babai-frobenius13_4 input, its chain built first:
+        # the search's own tracemalloc peak read 950 KiB with image tuples
+        # for elements and gathers for products, and 518 KiB on packed
+        # rows composed by translate
+        spec = GroupSpec.frobenius(13, 4)
+        points = list(range(spec.size))
+        random.Random(1).shuffle(points)
+        A = inner_holomorph(spec).conjugate(Permutation(points))
+        assert A.order == 2704
+        tracemalloc.start()
+        try:
+            reps = regular_subgroups(A, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reps) == 4
+        assert peak < 700 * 1024
 
     def test_c2_x_d4_row_is_pinned(self):
         # the representatives, the least-key member of each class, must

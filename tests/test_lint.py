@@ -5,8 +5,9 @@ module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
 oracles that do not call the kernels they check, no nested function
 that reads its own name, none that its outer function never reads, no
-assignment to the name of a cached_property, and no defaulted parameter
-that no call passes or that every call passes.
+assignment to the name of a cached_property, no defaulted parameter
+that no call passes or that every call passes, and no comparison of a
+degree with 256 in ci.py outside _pack.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -184,6 +185,25 @@ def test_closure_oracles_do_not_use_the_kernels():
     for oracle in ("is_automorphism", "brute_force_automorphisms",
                    "_color_preserving"):
         assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
+
+
+def test_only_pack_decides_where_rows_stop_fitting_bytes():
+    # in ci.py, _pack alone compares a degree with 256, and the code that
+    # packs rows asks it, so every row of one search has one form and a
+    # test can force image tuples on any input
+    comparing, asking = set(), set()
+    for top in parse("ci.py").body:
+        for sub in ast.walk(top):
+            if isinstance(sub, ast.Compare) and any(
+                    isinstance(x, ast.Constant) and x.value == 256
+                    for x in [sub.left, *sub.comparators]):
+                comparing.add(getattr(top, "name", "<module>"))
+            elif isinstance(sub, ast.Call) \
+                    and isinstance(sub.func, ast.Name) \
+                    and sub.func.id == "_pack":
+                asking.add(getattr(top, "name", "<module>"))
+    assert comparing == {"_pack"}
+    assert {"_conjugation", "regular_subgroups", "_element_keys"} <= asking
 
 
 def self_reading_nested_functions(tree):
