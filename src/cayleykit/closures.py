@@ -365,10 +365,9 @@ def k_closure(G, k):
     that starts at 0, so the stabilizer of 0 in G^(2) fixes every y, and
     |G^(2)| = n = |G|.  For k >= 2, G <= G^(k) <= G^(2) (Wielandt 1969),
     so a regular G is its own k-closure, with no color table and no
-    search: G's chain decides it, or else one listing of G that a later
-    chain of G reuses.  The group, generators and base are those the
-    seeded search returns: every seed moves 0, and the n pairs (y, 0)
-    have n colors, so no level past 0 has a candidate.
+    search: one listing of G decides it.  The group, generators and base
+    are those the seeded search returns: every seed moves 0, and the n
+    pairs (y, 0) have n colors, so no level past 0 has a candidate.
     """
     n = G.degree
     check_budget(n, k)

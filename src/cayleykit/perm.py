@@ -335,24 +335,30 @@ class PermGroup:
             return _Chain(self.degree, [0], self.generators)
         return _Chain.schreier_sims(self.degree, self.generators)
 
-    @cached_property
-    def _listed_regular(self):
-        """Regular, decided by listing the group by right multiplication,
-        up to n + 1 elements, with no chain built.  Read only for a group
-        with generators: a trivial group is never listed."""
+    def _regular_rows(self):
+        """The image rows of a regular group, row y the element moving 0
+        to y, or None when it is not regular.  The group is listed by right
+        multiplication with no chain built, and the listing stops at two
+        elements that move 0 to one point, so it holds at most n rows."""
         n = self.degree
         out = [tuple(range(n))]
-        seen = set(out)
+        rows = out + [None] * (n - 1)
         gathers = [itemgetter(*g.images) for g in self.generators]
         for x in out:
             for gather in gathers:
                 y = gather(x)
-                if y not in seen:
-                    if len(out) == n:
-                        return False
-                    seen.add(y)
+                z = rows[y[0]]
+                if z is None:
+                    rows[y[0]] = y
                     out.append(y)
-        return len(out) == n == len({x[0] for x in out})
+                elif z != y:
+                    return None
+        return rows if len(out) == n else None
+
+    @cached_property
+    def _listed_regular(self):
+        """Regular, from one `_regular_rows` listing whose rows are dropped."""
+        return self._regular_rows() is not None
 
     @cached_property
     def order(self):
@@ -427,14 +433,8 @@ class PermGroup:
         return all(len(orb) == self.order for orb in self.orbits())
 
     def is_regular(self):
-        """Transitive of order n.  A built chain answers, and a group given
-        a base builds its chain from the orbits; any other group with
-        generators is decided by `_listed_regular`, which installs no
-        chain, and a later chain reuses that answer."""
-        if self._base is None and "_chain" not in vars(self) \
-                and self.generators:
-            return self._listed_regular
-        return self.is_transitive() and self.order == self.degree
+        """Transitive of order n: one listing, reused by a later chain."""
+        return self._listed_regular
 
     def transitivity_profile(self):
         semi = self.is_semiregular()

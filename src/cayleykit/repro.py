@@ -21,7 +21,7 @@ from .ci import (TowerResult, are_conjugate_subgroups, block_tower_search,
                  regular_subgroups)
 from .closures import brute_force_automorphisms, k_closure, orbit_coloring
 from .perm import PermGroup, Permutation, is_normal_in, sylow_subgroup
-from .zoo import (GroupSpec, cayley_table, cor2_groups,
+from .zoo import (GroupSpec, cor2_groups,
                   frobenius_natural_action, group_in_family_R,
                   inner_holomorph, isomorphism_test, regular_representation,
                   zsigmondy_ppd)
@@ -126,8 +126,9 @@ def regular_class_scan(A, specs):
                if len(key) == n and len({im[0] for im in key}) == n]
     out = []
     for spec in specs:
-        is_spec = isomorphism_test(cayley_table(
-            regular_representation(spec, "left").group))
+        m = spec.size
+        is_spec = isomorphism_test([tuple(spec.mult(a, b) for b in range(m))
+                                    for a in range(m)])
         hits = [key for key, table in regular if is_spec(table)]
         classes = []
         placed = set()

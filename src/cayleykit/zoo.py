@@ -416,10 +416,10 @@ def cayley_table(G):
     g_y * g_z sends 0 to g_y(z), rows[y][z] is the label of g_y * g_z, and
     label 0 is the identity.
     """
-    if not G.is_regular():
+    rows = G._regular_rows()
+    if rows is None:
         raise ValueError("a Cayley table needs a regular group")
-    # rows have distinct first entries, so sorting orders them by g_y(0)
-    return sorted(g.images for g in G.elements())
+    return rows
 
 
 def _table_profile(t):

@@ -327,8 +327,8 @@ class TestRegularSubgroups:
 
     def test_c2_x_d4_row_builds_one_chain(self, monkeypatch):
         # the representatives take their chains from the known base [0],
-        # and the regular copy of the spec gets its chain from is_regular:
-        # no Schreier-Sims build at all
+        # and the spec's table is one listing of its regular copy, which
+        # builds no chain: no Schreier-Sims build at all
         A, spec = c2_x_d4_row()
         builds = []
         build = perm._Chain.schreier_sims

@@ -5,9 +5,9 @@ module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
 oracles that do not call the kernels they check, no nested function
 that reads its own name, none that its outer function never reads, no
-assignment to the name of a cached_property, no defaulted parameter
-that no call passes or that every call passes, and no comparison of a
-degree with 256 in ci.py outside _pack.
+assignment to the name of a cached_property, no read of an instance
+dict, no defaulted parameter that no call passes or that every call
+passes, and no comparison of a degree with 256 in ci.py outside _pack.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -122,7 +122,7 @@ UNREACHED_PUBLIC = {
     "ci.py:align_sylow_orbits": "a span of the benchmark tracer",
     "zoo.py:isomorphic_to_spec": "a span of the benchmark tracer",
     "blocks.py:minimal_block_containing":
-        "the planned primitivity test of ROADMAP item 5 will call it",
+        "the planned primitivity test of ROADMAP item 7 will call it",
     "blocks.py:BlockSystem.apply": "the reference breadth-first search in "
         "test_transporter_returns_the_block_system_word",
     "closures.py:ColoredStructure.encode": "reference_is_automorphism",
@@ -185,6 +185,16 @@ def test_closure_oracles_do_not_use_the_kernels():
     for oracle in ("is_automorphism", "brute_force_automorphisms",
                    "_color_preserving"):
         assert sorted(referenced(defs[oracle]) & kernels) == [], oracle
+
+
+def test_regular_class_oracle_builds_no_library_table():
+    # regular_class_scan checks regular_subgroups, which reads its spec's
+    # table from cayley_table of a regular representation; the oracle
+    # builds each table from the spec's product rule instead
+    defs = {node.name: node for node in parse("repro.py").body
+            if isinstance(node, ast.FunctionDef)}
+    assert sorted(referenced(defs["regular_class_scan"])
+                  & {"cayley_table", "regular_representation"}) == []
 
 
 def test_only_pack_decides_where_rows_stop_fitting_bytes():
@@ -293,6 +303,16 @@ def test_no_cached_property_is_assigned():
     # reader must then know which route ran first
     assert cached_property_assignments(
         {name: parse(name) for name in MODULES}) == []
+
+
+def test_no_instance_dict_is_read():
+    # a cached_property answers the same whether or not it has run; code
+    # that looks in vars(obj) or obj.__dict__ to see which has two answers
+    found = [f"{name}:{sub.lineno}" for name in MODULES
+             for sub in ast.walk(parse(name))
+             if (isinstance(sub, ast.Name) and sub.id == "vars")
+             or (isinstance(sub, ast.Attribute) and sub.attr == "__dict__")]
+    assert found == []
 
 
 def defaulted_parameters(name, tree):

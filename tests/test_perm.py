@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cayleykit
 from cayleykit.cli import build_parser
-from cayleykit.closures import automorphisms, orbit_coloring
+from cayleykit.ci import regular_subgroups
+from cayleykit.closures import automorphisms, k_closure, orbit_coloring
 from cayleykit.perm import (CapExceededError, PermGroup, Permutation, _Chain,
                             _is_power_of, is_normal_in, normalizer, orbit,
                             parse_group_json, prime_factors, sylow_subgroup)
@@ -273,6 +274,35 @@ def test_orbit_matches_fixed_point_closure(case):
 
 
 @st.composite
+def listed_groups(draw):
+    """Random generators on up to 7 points, or a relabelled regular
+    representation of a small spec."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 7))
+        perms = st.permutations(list(range(n))).map(Permutation)
+        return PermGroup(n, draw(st.lists(perms, max_size=3)))
+    spec = draw(st.sampled_from([
+        GroupSpec.cyclic(6), GroupSpec.dihedral(4), GroupSpec.q8(),
+        GroupSpec.dicyclic(3), GroupSpec.elementary_abelian_2(3),
+        GroupSpec.frobenius(5, 4)]))
+    side = draw(st.sampled_from(["left", "right"]))
+    c = Permutation(draw(st.permutations(list(range(spec.size)))))
+    return regular_representation(spec, side).group.conjugate(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(listed_groups())
+def test_listing_agrees_with_the_chain(G):
+    # the listing's verdict is the chain's, and its rows are the
+    # elements' image tuples, sorted
+    rows = G._regular_rows()
+    assert G.is_regular() == (rows is not None)
+    assert (rows is not None) == (G.is_transitive() and G.order == G.degree)
+    if rows is not None:
+        assert rows == sorted(g.images for g in G.elements())
+
+
+@st.composite
 def permutation_pairs(draw):
     n = draw(st.integers(0, 9))
     p, q = (draw(st.permutations(list(range(n)))) for _ in range(2))
@@ -490,10 +520,10 @@ def test_regular_groups_take_their_chain_from_a_listing(monkeypatch):
 
 
 def test_regularity_is_listed_once_and_installs_no_chain(monkeypatch):
-    # is_regular lists a group with generators once and installs no chain;
-    # a later chain reuses that listing, so a regular group takes the base
-    # [0] with no Schreier-Sims.  A built chain answers without listing,
-    # and trivial groups never list
+    # is_regular lists every group once and installs no chain; a later
+    # chain reuses that listing, so a regular group takes the base [0]
+    # with no Schreier-Sims.  A group given a base lists too, once, and
+    # its listing agrees with its chain
     listed = []
     prop = PermGroup.__dict__["_listed_regular"]
     listing = prop.func
@@ -524,10 +554,18 @@ def test_regularity_is_listed_once_and_installs_no_chain(monkeypatch):
     assert [G._chain.base for G in regular] == [[0]] * len(regular)
     assert [G.order for G in others] == [4, 3, 24]
     assert listed == [id(G) for G in groups]
-    monkeypatch.setattr(prop, "func", raising)
-    for G in groups:
-        del G._listed_regular
-    assert [G.is_regular() for G in groups] == answers
+    # a regular_subgroups representative, the k_closure of a regular
+    # group, and a closure that is not regular
+    based = [regular_subgroups(inner_holomorph(GroupSpec.frobenius(5, 4)),
+                               GroupSpec.dicyclic(5))[0],
+             k_closure(regular[1], 2), k_closure(others[1], 2)]
+    assert all(G._base is not None for G in based)
+    del listed[:]
+    for _ in range(2):
+        assert [G.is_regular() for G in based] == [True, True, False]
+    assert listed == [id(G) for G in based]
+    assert [G.is_transitive() and G.order == G.degree for G in based] \
+        == [True, True, False]
     trivial = [PermGroup.trivial(1), PermGroup.trivial(0),
                PermGroup.trivial(3)]
     assert [G.is_regular() for G in trivial] == [True, False, False]
