@@ -531,7 +531,7 @@ def _descend(R, T, ambient, transcript):
     finds no system.
     """
     n = R.degree
-    if n == 1 or _is_prime(n):  # no proper nontrivial system
+    if len(prime_factors(n)) < 2:  # no proper nontrivial system
         return Permutation.identity(n), [], None
     odd = sorted({q for q in prime_factors(R.order) if q != 2}, reverse=True)
     tag = None

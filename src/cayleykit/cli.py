@@ -74,8 +74,9 @@ def cmd_construct(args):
         G = inner_holomorph(spec)
         label = "inner_holomorph"
     else:
-        G = regular_representation(spec, args.side).group
-        label = f"{args.side}_regular"
+        side = args.side or "left"
+        G = regular_representation(spec, side).group
+        label = f"{side}_regular"
     _emit({"spec": spec.to_json(), "construction": label,
            "group": _group_json(G)}, args.out)
     return EXIT_PASS
@@ -160,8 +161,11 @@ def build_parser():
 
     p = sub.add_parser("construct", help="emit a permutation group as JSON")
     p.add_argument("--spec", required=True)
-    p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--holomorph", action="store_true")
+    # a holomorph has no side; with no default, `--side left` counts as
+    # given and is refused alongside --holomorph too
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--side", choices=["left", "right"])
+    form.add_argument("--holomorph", action="store_true")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_construct)
 
@@ -192,7 +196,8 @@ def build_parser():
 
     p = sub.add_parser("reproduce", help="run a named claim pipeline")
     p.add_argument("claim", choices=sorted(CLAIMS))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, help="sample seed; only tower-dic3 "
+                   "reads it, and the other claims accept and ignore it")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_reproduce)
     return parser

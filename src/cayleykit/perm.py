@@ -493,18 +493,12 @@ def normalizer(G, H):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n):
-    """Prime factorization as a sorted list with multiplicity."""
+    """Prime factorization as a sorted list with multiplicity ([] for
+    n < 2): the package's one trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -534,11 +528,7 @@ def sylow_subgroup(G, p, containing=None):
         raise ValueError(f"{p} is not prime")
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide the group order {G.order}")
-    target = 1
-    n = G.order
-    while n % p == 0:
-        target *= p
-        n //= p
+    target = p ** prime_factors(G.order).count(p)
     P = containing
     if P is None or P.order < target:
         elements = G.elements()

@@ -294,30 +294,9 @@ def zsigmondy_ppd(a, k):
     """
     if a < 2 or k < 2:
         raise ValueError("a and k must both be at least 2")
-    N = a ** k - 1
     lower = [a ** l - 1 for l in range(1, k)]
-    p = 2
-    while p * p <= N:
-        if N % p == 0:
-            if all(m % p for m in lower):
-                return p
-            while N % p == 0:
-                N //= p
-        p += 1
-    if N > 1 and all(m % N for m in lower):
-        return N
-    return None
-
-
-def _odd_part(n):
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
-def _is_squarefree(n):
-    fs = prime_factors(n)
-    return len(fs) == len(set(fs))
+    return next((p for p in prime_factors(a ** k - 1)
+                 if all(m % p for m in lower)), None)
 
 
 def _two_group_type(orders):
@@ -356,9 +335,10 @@ def group_in_family_R(G):
     """
     not_member = {"member": False, "case": None, "witness": None}
     order = G.order
-    m = _odd_part(order)
-    if not _is_squarefree(m):
+    odd = [q for q in prime_factors(order) if q != 2]
+    if len(set(odd)) < len(odd):
         return not_member
+    m = prod(odd)
     elems = G.elements()
     orders = [g.order() for g in elems]
     # the elements of odd order form a cyclic group C of order m exactly

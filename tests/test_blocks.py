@@ -284,6 +284,16 @@ class TestClassifyAndTower:
         res = verify_tower(G, t)
         assert not res["m_step"] and res["broken_at"] == 1
 
+    def test_verify_tower_breaks_at_a_wrong_degree_or_a_non_block(self):
+        # neither is raised: the tower is reported broken at that system
+        G = cyc(12)
+        pairs = BlockSystem(12, [[i, i + 6] for i in range(6)])
+        adjacent = BlockSystem(12, [[2 * i, 2 * i + 1] for i in range(6)])
+        for wrong in (BlockSystem.singletons(6), adjacent):
+            res = verify_tower(G, [pairs, wrong])
+            assert res == {"m_step": False, "normal": False,
+                           "index_sequence": [], "broken_at": 1}
+
 
 @st.composite
 def transitive_groups(draw):

@@ -91,6 +91,16 @@ class TestConstruct:
         assert payload["construction"] == "inner_holomorph"
         assert payload["group"]["order"] == 32
 
+    def test_side_with_holomorph_is_usage_error(self, capsys):
+        # the inner holomorph holds both regular representations, so a
+        # side given with it is refused, not silently dropped
+        for side in ("left", "right"):
+            for argv in (["--side", side, "--holomorph"],
+                         ["--holomorph", "--side", side]):
+                code, payload = usage_error(capsys, "construct", "--spec",
+                                            "q8", *argv)
+                assert code == 2 and "not allowed" in payload["error"]
+
     def test_bad_spec_is_usage_error(self, capsys):
         code, _ = run(capsys, "construct", "--spec", "nope(1)")
         assert code == 2

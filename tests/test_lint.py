@@ -7,7 +7,8 @@ oracles that do not call the kernels they check, no nested function
 that reads its own name, none that its outer function never reads, no
 assignment to the name of a cached_property, no read of an instance
 dict, no defaulted parameter that no call passes or that every call
-passes, and no comparison of a degree with 256 in ci.py outside _pack.
+passes, no comparison of a degree with 256 in ci.py outside _pack, and
+no trial-division loop outside prime_factors and its listed peers.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -409,3 +410,39 @@ def test_every_parameter_changes_something():
                 always.append(key)
     assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
     assert always == []
+
+
+def trial_division_loops(tree):
+    """The names of the functions, methods and nested functions included,
+    holding a while loop that tests `x * x <= y` or `y % x == 0`."""
+    def divides(test):
+        return any(
+            isinstance(c, ast.Compare) and len(c.ops) == 1
+            and isinstance(c.left, ast.BinOp) and (
+                isinstance(c.ops[0], ast.LtE)
+                and isinstance(c.left.op, ast.Mult)
+                and ast.dump(c.left.left) == ast.dump(c.left.right)
+                or isinstance(c.ops[0], ast.Eq)
+                and isinstance(c.left.op, ast.Mod)
+                and isinstance(c.comparators[0], ast.Constant)
+                and c.comparators[0].value == 0)
+            for c in ast.walk(test))
+
+    return {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+            and any(isinstance(w, ast.While) and divides(w.test)
+                    for w in ast.walk(f))}
+
+
+# The trial-division loops src keeps: the one factorization, the
+# divide-out loop that runs once per element where a factorization would
+# cost more, and the oracle that checks zsigmondy_ppd by its own loop
+TRIAL_DIVISION = {"perm.py:prime_factors", "perm.py:_is_power_of",
+                  "repro.py:smallest_primitive_prime_divisor"}
+
+
+def test_one_trial_division():
+    # primality, a prime-power part, an odd part and a primitive prime
+    # divisor are each read from prime_factors, not from another loop
+    assert sorted(f"{name}:{f}" for name in MODULES
+                  for f in trial_division_loops(parse(name))) \
+        == sorted(TRIAL_DIVISION)

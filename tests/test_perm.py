@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+from math import isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,8 +13,9 @@ from cayleykit.cli import build_parser
 from cayleykit.ci import regular_subgroups
 from cayleykit.closures import automorphisms, k_closure, orbit_coloring
 from cayleykit.perm import (CapExceededError, PermGroup, Permutation, _Chain,
-                            _is_power_of, is_normal_in, normalizer, orbit,
-                            parse_group_json, prime_factors, sylow_subgroup)
+                            _is_power_of, _is_prime, is_normal_in, normalizer,
+                            orbit, parse_group_json, prime_factors,
+                            sylow_subgroup)
 from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
 
 M12 = os.path.join(os.path.dirname(__file__), "..", "src", "cayleykit",
@@ -229,6 +231,20 @@ def test_public_surface_has_no_limit_parameters():
 def test_prime_factors():
     assert prime_factors(360) == [2, 2, 2, 3, 3, 5]
     assert prime_factors(1) == []
+    # _is_prime reads prime_factors; a sieve checks it, n < 2 included
+    sieve = [False, False] + [True] * 4999
+    for d in range(2, 71):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [_is_prime(n) for n in range(5001)] == sieve
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 6))
+    def factors_multiply_back(n):
+        fs = prime_factors(n)
+        assert fs == sorted(fs) and prod(fs) == n
+        assert all(f % d for f in fs for d in range(2, isqrt(f) + 1))
+
+    factors_multiply_back()
 
 
 @settings(max_examples=25, deadline=None)
