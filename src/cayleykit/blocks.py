@@ -83,32 +83,39 @@ class BlockSystem:
                 "blocks": [list(b) for b in self.blocks]}
 
 
-def _join(G, pair, cells=()):
-    """The finest G-invariant partition coarser than the G-invariant
-    partition into the sorted cells (the singletons by default) with the
-    two points of pair in one cell.  A merge relabels the smaller class
-    and queues the images of the merged pair under every generator; pairs
-    inside one of the cells need none, as G maps them into one cell."""
-    n = G.degree
-    label = list(range(n))
-    members = [[x] for x in range(n)]  # members[r]: the class labeled r
-    for cell in cells:
-        for x in cell:
-            label[x] = cell[0]
-        members[cell[0]] = list(cell)
-    gens = [g.images for g in G.generators]
-    queue = [pair]
-    for a, b in queue:  # the loop appends to the list it reads
-        ra, rb = label[a], label[b]
-        if ra != rb:
-            if len(members[ra]) < len(members[rb]):
-                ra, rb = rb, ra
-            for x in members[rb]:
-                label[x] = ra
-            members[ra] += members[rb]
+def _join(gens, labels, classes, a, b):
+    """The labels of the finest G-invariant partition coarser than the
+    G-invariant one that labels gives, with a and b in one class; gens
+    are the image tuples of G's generators, a partition is labeled by
+    giving each point the least point of its class, and classes[r] lists
+    the class labeled r.  A merge relabels the smaller class and queues
+    the images of the merged pair under every generator; pairs inside
+    one class of labels need none, as G maps them into one class."""
+    label = list(labels)
+    least = list(range(len(label)))  # least[r]: least point of class r
+    members = list(classes)  # merges build new lists: classes is shared
+    queue = [(a, b)]
+    for x, y in queue:  # the loop appends to the list it reads
+        rx, ry = label[x], label[y]
+        if rx != ry:
+            if len(members[rx]) < len(members[ry]):
+                rx, ry = ry, rx
+            for z in members[ry]:
+                label[z] = rx
+            members[rx] = members[rx] + members[ry]
+            least[rx] = min(least[rx], least[ry])
             for s in gens:
-                queue.append((s[a], s[b]))
-    return BlockSystem(n, [members[r] for r in range(n) if label[r] == r])
+                queue.append((s[x], s[y]))
+    return tuple(map(least.__getitem__, label))
+
+
+def _classes(labels):
+    """classes[r]: the points labeled r, in increasing order; empty
+    unless r is the least point of its class."""
+    classes = [[] for _ in labels]
+    for x, r in enumerate(labels):
+        classes[r].append(x)
+    return classes
 
 
 def minimal_block_containing(G, a, b):
@@ -117,7 +124,10 @@ def minimal_block_containing(G, a, b):
         raise ValueError("group must be transitive")
     if a == b:
         raise ValueError("points must be distinct")
-    return _join(G, (a, b))
+    gens = [g.images for g in G.generators]
+    finest = range(G.degree)
+    labels = _join(gens, finest, _classes(finest), a, b)
+    return BlockSystem(G.degree, filter(None, _classes(labels)))
 
 
 def refines(B, C):
@@ -135,21 +145,27 @@ def all_block_systems(G):
     of the minimal blocks of {0, x} over its points x.  So the search
     starts from the singletons and, for each system found and each block
     other than 0's, takes the finest system coarser than it with 0 and
-    that block's least point in one block.
+    that block's least point in one block.  Systems are kept as their
+    labels (see _join), and a BlockSystem is built once for each.
     """
     if not G.is_transitive():
         raise ValueError("group must be transitive")
     n = G.degree
-    finest = BlockSystem.singletons(n)
+    gens = [g.images for g in G.generators]
+    finest = tuple(range(n))
     found = {finest}
     queue = [finest]
-    for bs in queue:  # the loop appends to the list it reads
-        for cell in bs.blocks[1:]:  # blocks[0] holds 0
-            join = _join(G, (0, cell[0]), bs.blocks)
-            if join not in found:
-                found.add(join)
-                queue.append(join)
-    return sorted(bs for bs in found if not bs.is_trivial())
+    for labels in queue:  # the loop appends to the list it reads
+        classes = _classes(labels)
+        for r in range(1, n):
+            if labels[r] == r:  # r is the least point of a block
+                join = _join(gens, labels, classes, 0, r)
+                if join not in found:
+                    found.add(join)
+                    queue.append(join)
+    # the singletons are finest; the one block labels every point 0
+    return sorted(BlockSystem(n, filter(None, _classes(labels)))
+                  for labels in found if labels != finest and any(labels))
 
 
 def pullback_system(quotient_bs, bs):
@@ -223,20 +239,36 @@ def action_on_blocks(G, bs):
 
 
 def block_restriction(G, B):
-    """The induced group of the setwise stabilizer of B, relabeled on B."""
+    """The induced group of the setwise stabilizer of B, relabeled on B:
+    point i is the i-th least point of B.
+
+    By Schreier's lemma over the orbit of B, with no element of G
+    listed.  Each image C of B keeps a map u_C from B onto C, as the
+    tuple of its images, with u_B the identity.  For each generator s,
+    with D = s(C), u_D^-1 s u_C maps B onto B, and these maps generate
+    the stabilizer's action on B.  An image that meets another in part
+    raises ValueError.
+    """
     B = tuple(sorted(B))
-    Bset = set(B)
-    relabel = {x: i for i, x in enumerate(B)}
-    H = PermGroup.trivial(len(B))
-    for g in G.elements():
-        image = {g(x) for x in B}
-        if image == Bset:
-            h = Permutation(relabel[g(x)] for x in B)
-            if not H.contains(h):
-                H = PermGroup(len(B), H.generators + (h,))
-        elif image & Bset:
-            raise ValueError("B is not a block of G")
-    return H
+    image_of = [None] * G.degree  # y -> the index of the image holding y
+    label = [None] * G.degree  # y -> the i with u_C(B[i]) = y, C holding y
+    for i, x in enumerate(B):
+        image_of[x], label[x] = 0, i
+    reps = [B]  # reps[j]: u_C for the j-th image C found
+    gens = set()
+    for u in reps:  # the loop appends to the list it reads
+        for s in G.generators:
+            v = tuple(s.images[x] for x in u)  # s u_C, from B onto D
+            held = {image_of[y] for y in v}
+            if held == {None}:
+                for i, y in enumerate(v):
+                    image_of[y], label[y] = len(reps), i
+                reps.append(v)
+            elif len(held) > 1:
+                raise ValueError("B is not a block of G")
+            else:
+                gens.add(tuple(label[y] for y in v))
+    return PermGroup(len(B), map(Permutation, gens))
 
 
 def classify_block_system(G, partition):

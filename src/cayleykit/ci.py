@@ -22,8 +22,8 @@ from .perm import (BRUTE_FORCE_CAP, CapExceededError, PermGroup, Permutation,
                    _Chain, _is_power_of, _is_prime, _unchecked, is_normal_in,
                    orbit, prime_factors, sylow_subgroup)
 from .zoo import (MAX_SPEC_ORDER, _by_order, _table_profile, cayley_table,
-                  group_in_family_R, inner_holomorph, isomorphic_groups,
-                  isomorphism_test, regular_representation)
+                  group_in_family_R, inner_holomorph, isomorphism_test,
+                  regular_representation)
 
 
 class CiVerdict:
@@ -448,15 +448,17 @@ def align_sylow_orbits(R, T, p):
         raise ValueError("p must be an odd prime")
     if R.order % p != 0:
         raise ValueError("p must divide the group order")
-    if not (R.is_regular() and T.is_regular()):
+    tables = R._regular_rows(), T._regular_rows()
+    if None in tables:
         raise ValueError("R and T must be regular")
-    return _align_sylow_orbits(R, T, p, _joint(R, T))[1]
+    T = PermGroup(T.degree, T.generators, base=[0])  # see block_tower_search
+    return _align_sylow_orbits(R, T, p, _joint(R, T, *tables))[1]
 
 
-def _joint(R, T):
-    """<R, T> for regular R and T, refused unless they are isomorphic and
-    it is within the element cap."""
-    if not isomorphic_groups(R, T):
+def _joint(R, T, ta, tb):
+    """<R, T> for regular R and T with Cayley tables ta and tb, refused
+    unless they are isomorphic and it is within the element cap."""
+    if not isomorphism_test(tb)(ta):
         raise ValueError("R and T must be isomorphic")
     ambient = PermGroup(R.degree, list(R.generators) + list(T.generators))
     if ambient.order > BRUTE_FORCE_CAP:
@@ -602,13 +604,18 @@ def block_tower_search(R, T):
     degree = max(R.degree, T.degree)
     if degree > MAX_SPEC_ORDER:
         raise CapExceededError(f"degree {degree} exceeds cap {MAX_SPEC_ORDER}")
-    for H, name in ((R, "R"), (T, "T")):
-        if not H.is_regular():
+    # one listing of each group decides its regularity and gives its
+    # table; T, regular, then takes the base [0], so that reading its
+    # order lists it no second time
+    tables = R._regular_rows(), T._regular_rows()
+    for rows, name in zip(tables, "RT"):
+        if rows is None:
             raise ValueError(f"{name} must be regular")
+    T = PermGroup(T.degree, T.generators, base=[0])
     verdict = group_in_family_R(R)
     if not verdict["member"]:
         raise ValueError("R is outside the supported family")
-    ambient = _joint(R, T)
+    ambient = _joint(R, T, *tables)
     transcript = []
     c, tower, tag = _descend(R, T, ambient, transcript)
     if c is None:

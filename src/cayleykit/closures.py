@@ -428,7 +428,7 @@ def brute_force_automorphisms(S):
     if n > 8:
         raise ValueError("brute force oracle limited to degree 8")
     found = 0
-    gens = []
+    gens, gathers = [], []
     closure = [tuple(range(n))]
     seen = set(closure)
     for p in _color_preserving(S):
@@ -438,13 +438,15 @@ def brute_force_automorphisms(S):
         if not is_automorphism(S, Permutation(p)):
             raise RuntimeError(f"{p} changes a color")
         # grow the closure by right multiplication: every old element
-        # times p, then every new element times every kept generator
-        last = [p]
-        gens += last
+        # times p, then every new element times every kept generator;
+        # a times b is one gather of a's entries at b's images
+        last = (itemgetter(*p),)
+        gens.append(p)
+        gathers += last
         old = len(closure)
         for i, a in enumerate(closure):
-            for b in (last if i < old else gens):
-                c = tuple([a[x] for x in b])
+            for gather in (last if i < old else gathers):
+                c = gather(a)
                 if c not in seen:
                     seen.add(c)
                     closure.append(c)

@@ -412,11 +412,19 @@ def _family_corpus():
 def claim_family_closure():
     rows = []
     ok = True
+    verdicts = {}  # (degree, generator images) -> family-R membership
+
+    def member(G):
+        key = (G.degree, tuple(g.images for g in G.generators))
+        if key not in verdicts:
+            verdicts[key] = group_in_family_R(G)["member"]
+        return verdicts[key]
+
     for spec in _family_corpus():
         # the claim body names the row of cyclic(4) z4
         name = "z4" if spec == GroupSpec.cyclic(4) else spec.kind
         R = regular_representation(spec, "left").group
-        if not group_in_family_R(R)["member"]:
+        if not member(R):
             rows.append({"group": name, "order": spec.size,
                          "member": False})
             ok = False
@@ -425,11 +433,11 @@ def claim_family_closure():
         for bs in all_block_systems(R):
             cell = next(c for c in bs.blocks if 0 in c)
             restr = block_restriction(R, cell)
-            if not group_in_family_R(restr)["member"]:
+            if not member(restr):
                 bad.append({"probe": "restriction",
                             "block_size": bs.block_size})
             quot = action_on_blocks(R, bs).group
-            if not group_in_family_R(quot)["member"]:
+            if not member(quot):
                 bad.append({"probe": "quotient", "blocks": len(bs.blocks)})
         rows.append({"group": name, "order": spec.size,
                      "member": True, "failures": bad})

@@ -83,6 +83,26 @@ class TestAllBlockSystems:
     def test_s4_natural(self):
         assert all_block_systems(PermGroup.symmetric(4)) == []
 
+    def test_one_block_system_built_per_system(self, monkeypatch):
+        # the search keeps systems as label tuples: a BlockSystem is built
+        # for each system returned, and for nothing else
+        groups = [cyc(12), regular(GroupSpec.dicyclic(3)),
+                  regular(GroupSpec.elementary_abelian_2(3)),
+                  inner_holomorph(GroupSpec.q8()), PermGroup.symmetric(4)]
+        built = []
+        init = BlockSystem.__init__
+
+        def counted(self, degree, blocks):
+            built.append(self)
+            init(self, degree, blocks)
+
+        monkeypatch.setattr(BlockSystem, "__init__", counted)
+        for G in groups:
+            built.clear()
+            systems = all_block_systems(G)
+            assert len(built) == len(systems)
+        assert len(systems) == 0 and len(all_block_systems(cyc(12))) == 4
+
     def test_corpus_digest(self):
         # every system of 67 groups, pinned before the search was rewritten
         groups = []
@@ -203,6 +223,31 @@ class TestFixAndAction:
         # the 6-cycle maps {0, 1} to {1, 2}, which meets it in one point
         with pytest.raises(ValueError, match="not a block"):
             block_restriction(cyc(6), (0, 1))
+
+    def test_block_restriction_lists_no_group(self, monkeypatch):
+        # Schreier's lemma over the images of B reads generators only:
+        # no element of G is listed and no chain is built
+        groups = [cyc(12), regular(GroupSpec.dicyclic(3)),
+                  inner_holomorph(GroupSpec.q8()),
+                  frobenius_natural_action(7, 3),
+                  PermGroup(6, [Permutation([1, 0, 2, 3, 4, 5]),
+                                Permutation([2, 3, 4, 5, 0, 1]),
+                                Permutation([2, 3, 0, 1, 4, 5])])]
+        cases = [(G, bs.blocks[0]) for G in groups
+                 for bs in all_block_systems(G)]
+        assert len(cases) == 15
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a group was listed or a chain built")
+
+        monkeypatch.setattr(perm._Chain, "elements", refused)
+        monkeypatch.setattr(perm._Chain, "schreier_sims",
+                            classmethod(refused))
+        restrictions = [block_restriction(G, B) for G, B in cases]
+        monkeypatch.undo()
+        for (G, B), H in zip(cases, restrictions):
+            assert {h.images for h in H.elements()} \
+                == listed_restriction(G, B)
 
 
 class TestClassifyAndTower:
@@ -327,3 +372,70 @@ def test_normality_matches_filtered_kernel(G):
         assert classify_block_system(G, bs) == {
             "is_block_system": True,
             "is_normal": brute_force_is_normal(G, bs)}
+
+
+def listed_restriction(G, B):
+    """The image tuples of the setwise stabilizer of B on B, relabeled by
+    position in sorted B, filtered from every element of G; ValueError
+    when an element moves B onto a set that meets B in part."""
+    B = sorted(B)
+    where = {x: i for i, x in enumerate(B)}
+    out = set()
+    for g in G.elements():
+        image = {g(x) for x in B}
+        if image == set(B):
+            out.add(tuple(where[g(x)] for x in B))
+        elif image & set(B):
+            raise ValueError("B is not a block of G")
+    return out
+
+
+@st.composite
+def imprimitive_groups(draw):
+    """The n-cycle, n <= 12, and up to two permutations that keep its
+    classes mod d for a divisor d of n.  Each moves the class of x, r,
+    to e * r + t mod d with e = 1 or -1, and shifts x within its class
+    by an amount chosen for r; so the group lies in C_k wr D_d, k = n / d,
+    of order at most 768."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    k = n // d
+    gens = [Permutation([(x + 1) % n for x in range(n)])]
+    for _ in range(draw(st.integers(0, 2))):
+        e, t = draw(st.sampled_from([1, -1])), draw(st.integers(0, d - 1))
+        shifts = draw(st.lists(st.integers(0, k - 1), min_size=d,
+                               max_size=d))
+        gens.append(Permutation(
+            ((x // d + shifts[x % d]) % k) * d + (e * (x % d) + t) % d
+            for x in range(n)))
+    return PermGroup(n, gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(imprimitive_groups(), transitive_groups()))
+def test_restriction_matches_the_listed_stabilizer(G):
+    for bs in all_block_systems(G):
+        for B in bs.blocks:
+            H = block_restriction(G, B)
+            assert H.degree == len(B)
+            assert {h.images for h in H.elements()} \
+                == listed_restriction(G, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(imprimitive_groups(), st.data())
+def test_restriction_to_a_random_set(G, data):
+    # a random set of two points or more, and not all, is mostly not a
+    # block, and then both raise
+    n = G.degree
+    low, high = (2, n - 1) if n > 2 else (1, n)
+    B = data.draw(st.sets(st.integers(0, n - 1), min_size=low,
+                          max_size=high))
+    try:
+        want = listed_restriction(G, B)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a block"):
+            block_restriction(G, B)
+    else:
+        assert {h.images for h in block_restriction(G, B).elements()} \
+            == want

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -824,6 +825,27 @@ class TestTowerSearch:
                       if n == R.degree and keys <= gens]
             assert len(joints) == len(set(joints))
             assert keys | {g.images for g in T.generators} in joints
+
+    def test_one_listing_of_r_and_t_per_call(self, monkeypatch):
+        # one listing of each group decides its regularity and gives the
+        # table that <R, T> is checked on; T's chain then takes the base
+        # [0], and R's chain was built with R
+        R, W = dic3_partition_stabilizer()
+        assert "_chain" in vars(R)
+        listed = Counter()
+        rows = PermGroup._regular_rows
+
+        def counted(H):
+            listed[H.generators] += 1
+            return rows(H)
+
+        monkeypatch.setattr(PermGroup, "_regular_rows", counted)
+        for c in (W.generators[-1], W.generators[-1] * W.generators[0]):
+            T = R.conjugate(c)
+            assert T.generators != R.generators
+            listed.clear()
+            assert isinstance(block_tower_search(R, T), TowerResult)
+            assert (listed[R.generators], listed[T.generators]) == (1, 1)
 
     def test_sylow_growth_builds_no_normalizer(self, monkeypatch):
         def refused(G, H):

@@ -7,8 +7,9 @@ oracles that do not call the kernels they check, no nested function
 that reads its own name, none that its outer function never reads, no
 assignment to the name of a cached_property, no read of an instance
 dict, no defaulted parameter that no call passes or that every call
-passes, no comparison of a degree with 256 in ci.py outside _pack, and
-no trial-division loop outside prime_factors and its listed peers.
+passes, no comparison of a degree with 256 in ci.py outside _pack, no
+trial-division loop outside prime_factors and its listed peers, and no
+group listed in blocks.py, where _join alone merges classes.
 A classmethod is reached only as `Owner.name`, or as `cls.name` inside
 its own class."""
 
@@ -446,3 +447,39 @@ def test_one_trial_division():
     assert sorted(f"{name}:{f}" for name in MODULES
                   for f in trial_division_loops(parse(name))) \
         == sorted(TRIAL_DIVISION)
+
+
+def merges_classes(node):
+    """Whether a function merges one indexed class into another: an
+    item grown in place, `x[i] += ...`, `x[i].extend(...)` or
+    `x[i].update(...)`, or set to a sum of items, `x[i] = x[i] + x[j]`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.AugAssign) \
+                and isinstance(sub.target, ast.Subscript):
+            return True
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) \
+                and sub.func.attr in ("extend", "update") \
+                and isinstance(sub.func.value, ast.Subscript):
+            return True
+        if isinstance(sub, ast.Assign) \
+                and any(isinstance(t, ast.Subscript) for t in sub.targets) \
+                and isinstance(sub.value, ast.BinOp) \
+                and isinstance(sub.value.left, ast.Subscript) \
+                and isinstance(sub.value.right, ast.Subscript):
+            return True
+    return False
+
+
+def test_blocks_list_no_group_and_join_alone_merges():
+    # block systems come from joins and restrictions from Schreier's
+    # lemma, both on generators: no routine in blocks.py lists a group,
+    # and every merge of classes goes through the one join
+    functions = [f for f in ast.walk(parse("blocks.py"))
+                 if isinstance(f, ast.FunctionDef)]
+    listing = sorted(f.name for f in functions for sub in ast.walk(f)
+                     if isinstance(sub, ast.Call)
+                     and isinstance(sub.func, ast.Attribute)
+                     and sub.func.attr == "elements")
+    assert listing == []
+    assert sorted(f.name for f in functions if merges_classes(f)) \
+        == ["_join"]

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from cayleykit import repro
 from cayleykit.perm import PermGroup, Permutation
 from cayleykit.repro import _regular_oracle_corpus, all_subgroups
 from cayleykit.zoo import GroupSpec, inner_holomorph, regular_representation
@@ -67,3 +70,18 @@ def test_lattice_sizes(make, size):
     for key in lattice:
         elems = [Permutation(im) for im in key]
         assert all((a * b).images in key for a in elems for b in elems)
+
+
+def test_family_closure_asks_each_probe_once(monkeypatch):
+    # restrictions and quotients of different systems are often the same
+    # group on the same generators; each is decided once
+    asked = Counter()
+    verdict = repro.group_in_family_R
+
+    def counted(G):
+        asked[G.degree, tuple(g.images for g in G.generators)] += 1
+        return verdict(G)
+
+    monkeypatch.setattr(repro, "group_in_family_R", counted)
+    assert repro.claim_family_closure()["pass"]
+    assert len(asked) > 16 and max(asked.values()) == 1
