@@ -8,7 +8,7 @@ ordered k-tuples.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter, mul
+from operator import add, eq, itemgetter
 
 from .perm import PermGroup, Permutation, orbit
 
@@ -378,39 +378,55 @@ def k_closure(G, k):
 
 def _color_preserving(S):
     """The image tuples of every permutation that keeps each tuple's
-    color, in itertools.permutations order.  Images are picked point by
-    point, and a partial map f(0), ..., f(j) is dropped at the first tuple
-    over 0..j that holds j and changes color, so each tuple is checked
-    once.  A stack of iterators, not recursion, so no cycle outlives it.
-    """
+    color, in itertools.permutations order.  j's images are the unused
+    points of its diagonal class; the other tuples with largest point j
+    are checked in one gather.  img holds f(x) * n^i at i * n + x, so an
+    image's code is a sum of picks from img, and img[:n] is f.  A stack
+    of filters, not recursion, so no cycle outlives the walk."""
     n, k = S.degree, S.arity
     if not n:
         yield ()
         return
     colors = S.colors
-    strides = [n ** (k - 1 - i) for i in range(k)]
-    # checks[j]: the color and points of every tuple over 0..j holding j
-    checks = [[(colors[sum(map(mul, t, strides))], t)
-               for t in itertools.product(range(j + 1), repeat=k) if j in t]
-              for j in range(n)]
-    f = []
-    stack = [iter(range(n))]  # stack[j]: the images of j not yet tried
+    # rows[j]: the color and img indices of each tuple with largest point
+    # j, in encoding order as product() lists them, so the diagonal last
+    rows = [[] for _ in range(n)]
+    for code, t in enumerate(itertools.product(range(n), repeat=k)):
+        rows[max(t)].append(
+            (colors[code], *map(add, t, range(k * n - n, -1, -n))))
+    diagonal = [row.pop()[0] for row in rows]
+    levels = []  # levels[j]: j's class, the colors and columns to check
+    for d, row in zip(diagonal, rows):
+        want, first, *rest = zip(*row) if row else [()] * (k + 1)
+        levels.append(([y for y, c in enumerate(diagonal) if c == d],
+                       want, first, rest))
+    img = [0] * (k * n)
+    scaled = [[y * n ** i for i in range(k)] for y in range(n)]
+    free = [True] * n
+    pick, color, unused = img.__getitem__, colors.__getitem__, free.__getitem__
+    stack = [filter(unused, levels[0][0])]
+    j = 0  # the point whose images stack[-1] holds
     while stack:
+        _, want, first, rest = levels[j]
         for y in stack[-1]:
-            if y in f:
-                continue
-            f.append(y)
-            if all(c == colors[sum(map(mul, map(f.__getitem__, t), strides))]
-                   for c, t in checks[len(f) - 1]):
-                if len(f) < n:
-                    stack.append(iter(range(n)))
-                    break
-                yield tuple(f)
-            f.pop()
+            img[j::n] = scaled[y]
+            if want:  # a level with no tuple but the diagonal gathers none
+                codes = map(pick, first)
+                for column in rest:
+                    codes = map(add, codes, map(pick, column))
+                if not all(map(eq, want, map(color, codes))):
+                    continue
+            if j + 1 < n:
+                free[y] = False
+                j += 1
+                stack.append(filter(unused, levels[j][0]))
+                break
+            yield tuple(img[:n])
         else:
             stack.pop()
-            if f:
-                f.pop()
+            j -= 1
+            if stack:
+                free[img[j]] = True
 
 
 def brute_force_automorphisms(S):

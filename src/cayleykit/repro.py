@@ -4,9 +4,10 @@ against.
 Each claim function returns a report body {claim, inputs, outputs, pass};
 the bodies are deterministic, so equal inputs give byte-identical bodies.
 The oracles here deliberately avoid the library code paths under test:
-automorphisms are found by a pruned walk over all n! permutations
-(closures.brute_force_automorphisms), block systems by scanning every
-equal-cell partition, and subgroups by growing the full subgroup lattice.
+automorphisms by a walk that takes images from diagonal color classes and
+checks each level in one gather (closures.brute_force_automorphisms),
+block systems by testing every equal-cell partition on its own labels,
+and subgroups by growing the full subgroup lattice.
 """
 
 from __future__ import annotations
@@ -33,16 +34,22 @@ ORACLE_CAP = 10 ** 5
 
 
 def invariant_partition_scan(G):
-    """Every nontrivial equal-cell partition preserved by G, by brute force."""
+    """Every nontrivial equal-cell partition preserved by G, by brute force on
+    the scan's own cell labels: every generator maps each cell into one."""
     n = G.degree
+    gens = [g.images for g in G.generators]
+    label = [0] * n
     found = []
     for size in range(2, n):
         if n % size != 0:
             continue
         for cells in _equal_partitions(list(range(n)), size):
-            bs = BlockSystem(n, cells)
-            if bs.is_invariant_under(G):
-                found.append(bs)
+            for i, cell in enumerate(cells):
+                for x in cell:
+                    label[x] = i
+            if all(len({label[s[x]] for x in cell}) == 1
+                   for s in gens for cell in cells):
+                found.append(BlockSystem(n, cells))
     return sorted(found)
 
 
@@ -147,22 +154,19 @@ def regular_class_scan(A, specs):
 
 
 def smallest_primitive_prime_divisor(a, k):
-    """Direct-factorization oracle for primitive prime divisors."""
-    value = a ** k - 1
-    divisors = []
+    """Direct-factorization oracle for primitive prime divisors: the first
+    primitive prime that trial division by 2 and odd d meets, in order."""
+    v = a ** k - 1
     d = 2
-    v = value
     while d * d <= v:
         if v % d == 0:
-            divisors.append(d)
+            if all((a ** j - 1) % d != 0 for j in range(1, k)):
+                return d
             while v % d == 0:
                 v //= d
-        d += 1
-    if v > 1:
-        divisors.append(v)
-    for p in sorted(divisors):
-        if all((a ** j - 1) % p != 0 for j in range(1, k)):
-            return p
+        d += 1 if d == 2 else 2
+    if v > 1 and all((a ** j - 1) % v != 0 for j in range(1, k)):
+        return v
     return None
 
 

@@ -239,6 +239,54 @@ def test_brute_force_walk_matches_the_filter(S):
     assert B.generators == R.generators
 
 
+def walk_contract_colorings():
+    """Arity 1 at degrees 7 and 8 with one, two and three colors, and
+    the orbit colorings the closure-chain claim hands the oracle at
+    k = 2 and 3."""
+    from cayleykit.repro import _closure_corpus
+    out = [(f"n{n}-k1-c{c}", ColoredStructure(n, 1, [x % c for x in range(n)]))
+           for n in (7, 8) for c in (1, 2, 3)]
+    out += [(f"{name}-k{k}", orbit_coloring(G, k))
+            for name, G in _closure_corpus() if G.degree <= 7
+            for k in (2, 3)]
+    return out
+
+
+@pytest.mark.parametrize("name, S", walk_contract_colorings(),
+                         ids=[name for name, _ in walk_contract_colorings()])
+def test_walk_yields_the_filter_in_order(name, S):
+    want = [p for p in itertools.permutations(range(S.degree))
+            if is_automorphism(S, Permutation(p))]
+    assert list(closures._color_preserving(S)) == want
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_walk_checks_every_tuple(k):
+    # one marked tuple, every tuple in turn: a walk that skipped the
+    # tuple anywhere would let through a permutation that moves it.  Orbit
+    # colorings miss such a skip when the reversed tuple is checked
+    n = 4
+    for mark in range(n ** k):
+        S = ColoredStructure(n, k, [c == mark for c in range(n ** k)])
+        want = [p for p in itertools.permutations(range(n))
+                if is_automorphism(S, Permutation(p))]
+        assert list(closures._color_preserving(S)) == want, mark
+
+
+def test_walk_is_streamed():
+    # all 8! permutations keep a one-color coloring; a walk that kept its
+    # leaves would hold 40,320 tuples, some megabytes
+    S = ColoredStructure(8, 1, [0] * 8)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in closures._color_preserving(S))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 40320
+    assert peak < 16 * 1024
+
+
 # The search before its candidates came from color buckets, kept verbatim:
 # it scans every point of the diagonal class and takes the next point by
 # min(), and the search must still find its generators in its order.

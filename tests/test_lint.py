@@ -3,7 +3,8 @@ no unused import, one import statement per imported module, imports
 from a listed set of standard-library modules only, no private
 module-level function or class that nothing references, no public one
 or public method of a public class that only tests and __init__ reach,
-oracles that do not call the kernels they check, no nested function
+oracles that do not call the kernels they check, a partition oracle
+that tests invariance on its own labels, no nested function
 that reads its own name, none that its outer function never reads, no
 assignment to the name of a cached_property, no read of an instance
 dict, no defaulted parameter that no call passes or that every call
@@ -197,6 +198,16 @@ def test_regular_class_oracle_builds_no_library_table():
             if isinstance(node, ast.FunctionDef)}
     assert sorted(referenced(defs["regular_class_scan"])
                   & {"cayley_table", "regular_representation"}) == []
+
+
+def test_partition_oracle_checks_invariance_itself():
+    # invariant_partition_scan checks all_block_systems, and the library's
+    # own invariance test serves BlockAction and classify_block_system, so
+    # the scan tests each partition on its own label array instead
+    defs = {node.name: node for node in parse("repro.py").body
+            if isinstance(node, ast.FunctionDef)}
+    assert "is_invariant_under" not in referenced(
+        defs["invariant_partition_scan"])
 
 
 def test_only_pack_decides_where_rows_stop_fitting_bytes():
